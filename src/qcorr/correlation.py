@@ -64,13 +64,22 @@ class ArakiLiebResult(NamedTuple):
     upper_slack: float
 
 
+def clamp_nonneg(x: float) -> float:
+    """max(x, 0) as +0.0 where x is 0, -0.0 or slightly negative.
+
+    Adding +0.0 turns a -0.0 that max() passes through into +0.0, so a
+    clamped value never prints as "-0.0"; NaN still propagates.
+    """
+    return max(x, 0.0) + 0.0
+
+
 def entropy_from_probs(p: np.ndarray) -> float:
     """-sum p ln p over entries above the floor, clamped to >= 0."""
     p = np.asarray(p, dtype=np.float64)
     p = p[p > ENTROPY_EIG_FLOOR]
     if p.size == 0:
         return 0.0
-    return max(float(-np.sum(p * np.log(p))), 0.0)
+    return clamp_nonneg(float(-np.sum(p * np.log(p))))
 
 
 def _entropy_of_matrix(m: np.ndarray) -> float:
@@ -92,7 +101,7 @@ def subsystem_entropies(rho: DensityOperator) -> list[float]:
 def total_correlation(rho: DensityOperator) -> float:
     """Sum of single-qubit entropies minus the total entropy, clamped to >= 0."""
     s_total = von_neumann_entropy(rho)
-    return max(sum(subsystem_entropies(rho)) - s_total, 0.0)
+    return clamp_nonneg(sum(subsystem_entropies(rho)) - s_total)
 
 
 def index_of_correlation(rho: DensityOperator, part: "Partition") -> float:
@@ -105,7 +114,7 @@ def index_of_correlation(rho: DensityOperator, part: "Partition") -> float:
     m, n = rho.matrix, rho.n_qubits
     s_a = _entropy_of_matrix(partial_trace(m, n, part.alpha))
     s_b = _entropy_of_matrix(partial_trace(m, n, part.beta))
-    return max(s_a + s_b - von_neumann_entropy(rho), 0.0)
+    return clamp_nonneg(s_a + s_b - von_neumann_entropy(rho))
 
 
 def max_total_correlation(n_qubits: int) -> float:

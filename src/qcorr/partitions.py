@@ -17,9 +17,9 @@ import numpy as np
 from .correlation import (
     LN2,
     _entropy_of_matrix,
-    index_of_correlation,
+    clamp_nonneg,
     subsystem_entropies,
-    total_correlation,
+    von_neumann_entropy,
 )
 from .errors import PartitionError, PreconditionError
 from .linalg import kron, partial_trace, permute_matrix_qubits
@@ -62,9 +62,16 @@ class Partition:
         return len(self.alpha) + len(self.beta)
 
     def label(self) -> str:
-        """Letter syntax, e.g. 'ab|cd' (qubit 0 is 'a')."""
+        """Letter syntax, e.g. 'ab|cd' (qubit 0 is 'a').
+
+        Past 26 qubits there are no letters left, so the index syntax
+        '0,1|2,...,29' is used instead; `parse_partition` reads both.
+        """
         letters = string.ascii_lowercase
-        side = lambda qs: "".join(letters[q] for q in qs)
+        if self.n_qubits > len(letters):
+            side = lambda qs: ",".join(str(q) for q in qs)
+        else:
+            side = lambda qs: "".join(letters[q] for q in qs)
         return f"{side(self.alpha)}|{side(self.beta)}"
 
 
@@ -84,6 +91,10 @@ def decompose(rho: DensityOperator, part: Partition) -> Decomposition:
     internal = total correlation of the side's reduced operator;
     external = index of correlation across the cut. Their sum reproduces
     the total correlation within 1e-8.
+
+    Each entropy is computed once: S(rho), S(rho_alpha), S(rho_beta), and
+    the single-qubit entropies, taken from rho_alpha and rho_beta since
+    those are marginals of rho too.
     """
     if part.n_qubits != rho.n_qubits:
         raise PartitionError(
@@ -93,10 +104,15 @@ def decompose(rho: DensityOperator, part: Partition) -> Decomposition:
     m, n = rho.matrix, rho.n_qubits
     rho_a = DensityOperator(len(part.alpha), partial_trace(m, n, part.alpha))
     rho_b = DensityOperator(len(part.beta), partial_trace(m, n, part.beta))
-    internal_alpha = total_correlation(rho_a)
-    internal_beta = total_correlation(rho_b)
-    external = index_of_correlation(rho, part)
-    total = total_correlation(rho)
+    s_k_alpha = sum(subsystem_entropies(rho_a))
+    s_k_beta = sum(subsystem_entropies(rho_b))
+    s_alpha = von_neumann_entropy(rho_a)
+    s_beta = von_neumann_entropy(rho_b)
+    s_total = von_neumann_entropy(rho)
+    internal_alpha = clamp_nonneg(s_k_alpha - s_alpha)
+    internal_beta = clamp_nonneg(s_k_beta - s_beta)
+    external = clamp_nonneg(s_alpha + s_beta - s_total)
+    total = clamp_nonneg(s_k_alpha + s_k_beta - s_total)
     if abs(internal_alpha + internal_beta + external - total) > IDENTITY_TOL:
         raise ArithmeticError(
             "internal/external decomposition failed to reproduce the total "

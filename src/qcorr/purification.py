@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import LN2, total_correlation
-from .linalg import partial_trace
-from .states import DensityOperator, PureState, to_density
+from .correlation import LN2, _entropy_of_matrix, clamp_nonneg, entropy_from_probs
+from .states import DensityOperator, PureState, _amplitude_matrix
 
 #: Eigenvalues at or below this threshold are treated as numerical noise.
 RANK_THRESHOLD = 1e-10
@@ -63,6 +62,11 @@ def purify(rho: DensityOperator) -> PurificationResult:
     broken by the index of the leading nonzero component, then
     lexicographically, after fixing each vector's phase so that component is
     real positive. The output is therefore reproducible run to run.
+
+    The residual compares the input with T T^dagger, where T is the
+    2^n x 2^k table of purified amplitudes (system index by ancilla index):
+    that is the purification's reduction onto the system, computed without
+    the 4^(n+k)-entry density operator of the purified state.
     """
     n = rho.n_qubits
     sym = (rho.matrix + rho.matrix.conj().T) / 2.0
@@ -82,17 +86,29 @@ def purify(rho: DensityOperator) -> PurificationResult:
     for i, (lam, _, v) in enumerate(fixed):
         table[:, i] = math.sqrt(lam) * v
     weight = sum(lam for lam, _, _ in fixed)
-    amps = table.reshape(-1) / math.sqrt(weight)
-    purified = PureState(n + k, amps)
+    table /= math.sqrt(weight)
+    purified = PureState(n + k, table.reshape(-1))
 
-    back = partial_trace(to_density(purified).matrix, n + k, range(n))
-    diff_eigs = np.linalg.eigvalsh((back - rho.matrix + (back - rho.matrix).conj().T) / 2.0)
+    diff = table @ table.conj().T - rho.matrix
+    diff_eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
     residual = 0.5 * float(np.sum(np.abs(diff_eigs)))
     return PurificationResult(ancilla_qubits=k, purified=purified, residual=residual)
 
 
 def is_maximally_correlated_purification(r: PurificationResult) -> bool:
-    """True iff the purified state carries the global maximum (n+k) ln 2."""
+    """True iff the purified state carries the global maximum (n+k) ln 2.
+
+    The total correlation of the pure state is the sum of its single-qubit
+    entropies minus S = -|psi|^2 ln |psi|^2. Each single-qubit reduction is
+    the 2x2 Gram matrix of the amplitudes with that qubit as the row index,
+    so no operator larger than 2x2 is built.
+    """
     n_total = r.purified.n_qubits
-    tot = total_correlation(to_density(r.purified))
+    amps = r.purified.amplitudes
+    s_k = 0.0
+    for q in range(n_total):
+        m = _amplitude_matrix(amps, n_total, (q,))
+        s_k += _entropy_of_matrix(m @ m.conj().T)
+    s_total = entropy_from_probs(np.array([float(np.vdot(amps, amps).real)]))
+    tot = clamp_nonneg(s_k - s_total)
     return abs(tot - n_total * LN2) <= MAXCORR_TOL

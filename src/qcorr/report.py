@@ -21,22 +21,22 @@ from .correlation import (
     LN2,
     BoundsReport,
     Region,
+    clamp_nonneg,
     classify_region,
     correlation_bounds,
     entropy_from_probs,
 )
 from .errors import NotNormalizedError, SpecParseError, StateFileError
-from .linalg import partial_trace
-from .partitions import Partition, enumerate_bipartitions, is_product_across
+from .partitions import Partition, enumerate_bipartitions
 from .states import (
     NORM_TOL,
     DensityOperator,
     PureState,
+    _amplitude_matrix,
     _check_cap,
     bell_product,
     ghz,
     ghz_block_product,
-    to_density,
     uniform_entangled,
 )
 
@@ -143,7 +143,7 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")
     n = doc.get("n_qubits")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StateFileError(f"{path}: 'n_qubits' must be a positive integer")
     raw = doc.get("amplitudes")
     if not isinstance(raw, list):
@@ -157,7 +157,9 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
+            )
         ):
             raise StateFileError(
                 f"{path}: amplitude {i} must be a [re, im] pair, got {pair!r}"
@@ -276,13 +278,10 @@ def _schmidt_probs(amps: np.ndarray, n: int, alpha: Sequence[int]) -> np.ndarray
     """Squared singular values of the amplitude matrix for the given cut.
 
     These are the shared eigenvalues of both reduced operators of a pure
-    state, so one SVD yields S(alpha) and S(beta) at once.
+    state, so one SVD yields S(alpha) and S(beta) at once. They come in
+    descending order.
     """
-    rest = [q for q in range(n) if q not in set(alpha)]
-    mat = amps.reshape((2,) * n).transpose([*alpha, *rest]).reshape(
-        1 << len(alpha), 1 << len(rest)
-    )
-    sv = np.linalg.svd(mat, compute_uv=False)
+    sv = np.linalg.svd(_amplitude_matrix(amps, n, alpha), compute_uv=False)
     return sv * sv
 
 
@@ -290,27 +289,18 @@ def _single_qubit_entropies(amps: np.ndarray, n: int) -> list[float]:
     return [float(entropy_from_probs(_schmidt_probs(amps, n, (k,)))) for k in range(n)]
 
 
-def _product_flag(
-    state: PureState,
-    rho: DensityOperator | None,
-    part: Partition,
-    probs: np.ndarray,
-) -> tuple[bool, DensityOperator | None]:
-    """Product-across check with a cheap sound rejection.
+def _product_flag(probs: np.ndarray) -> bool:
+    """Product-across check for a pure state from its Schmidt probabilities.
 
-    For a pure state with Schmidt probabilities p, the Frobenius distance
-    between rho and rho_alpha (x) rho_beta is sqrt(1 + (sum p^2)^2 - 2 sum p^3)
-    exactly, and the max-entry distance is at least that over the dimension.
-    Only near-product candidates pay for the full entrywise check.
+    A pure state is a product across the cut iff its Schmidt rank is 1. With
+    normalised probabilities p (descending) and tail = p[1] + p[2] + ...,
+    the Frobenius distance between rho and rho_alpha (x) rho_beta is
+    sqrt(2 tail) to first order in tail. The tail is summed directly rather
+    than as 1 - p[0], which would cancel.
     """
     p = probs / float(np.sum(probs))
-    frob2 = 1.0 + float(np.sum(p * p)) ** 2 - 2.0 * float(np.sum(p**3))
-    dim = 1 << state.n_qubits
-    if math.sqrt(max(frob2, 0.0)) / dim > 1e-9:
-        return False, rho
-    if rho is None:
-        rho = to_density(state)
-    return is_product_across(rho, part), rho
+    tail = float(np.sum(p[1:]))
+    return math.sqrt(2.0 * tail) <= 1e-9
 
 
 def _analyze_pure(
@@ -322,19 +312,17 @@ def _analyze_pure(
     nrm2 = float(np.vdot(amps, amps).real)
     s_total = entropy_from_probs(np.array([nrm2]))
     s_k = _single_qubit_entropies(amps, n)
-    total = max(sum(s_k) - s_total, 0.0)
+    total = clamp_nonneg(sum(s_k) - s_total)
 
-    rho = None
     entries = []
     al_ok = True
     for part in parts:
         probs = _schmidt_probs(amps, n, part.alpha)
         s_cut = float(entropy_from_probs(probs))
-        internal_alpha = max(sum(s_k[q] for q in part.alpha) - s_cut, 0.0)
-        internal_beta = max(sum(s_k[q] for q in part.beta) - s_cut, 0.0)
-        external = max(2.0 * s_cut - s_total, 0.0)
+        internal_alpha = clamp_nonneg(sum(s_k[q] for q in part.alpha) - s_cut)
+        internal_beta = clamp_nonneg(sum(s_k[q] for q in part.beta) - s_cut)
+        external = clamp_nonneg(2.0 * s_cut - s_total)
         al_ok = al_ok and (s_total >= -1e-9) and (2.0 * s_cut - s_total >= -1e-9)
-        product, rho = _product_flag(state, rho, part, probs)
         entries.append(
             PartitionAnalysis(
                 partition=part.label(),
@@ -350,7 +338,7 @@ def _analyze_pure(
                 region_external=classify_region(
                     external, [len(part.alpha) * LN2, len(part.beta) * LN2]
                 ),
-                product_across=product,
+                product_across=_product_flag(probs),
             )
         )
     bounds = correlation_bounds(s_k)
@@ -421,11 +409,18 @@ def subset_entropy(
 
 
 def reduced_operator(state: PureState, subset: Sequence[int]) -> DensityOperator:
-    """Reduction of a pure state onto the given qubits (in subset order)."""
-    m = to_density(state).matrix
-    return DensityOperator(
-        len(subset), partial_trace(m, state.n_qubits, tuple(subset))
-    )
+    """Reduction of a pure state onto the given qubits (in subset order).
+
+    With M the amplitude matrix whose rows are indexed by `subset`, the
+    reduction is the Gram matrix M M^dagger of dimension 2^|subset|; the
+    2^n x 2^n density operator of the state is never built.
+    """
+    n = state.n_qubits
+    kept = tuple(int(q) for q in subset)
+    if len(set(kept)) != len(kept) or not all(0 <= q < n for q in kept):
+        raise IndexError(f"subset {kept} must hold distinct qubits in 0..{n - 1}")
+    mat = _amplitude_matrix(state.amplitudes, n, kept)
+    return DensityOperator(len(kept), mat @ mat.conj().T)
 
 
 def _sig12(x: float) -> float:

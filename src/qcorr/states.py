@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -154,6 +155,19 @@ def ghz_block_product(n_per_block: int, *, max_qubits: int | None = None) -> Pur
     _check_cap(2 * n_per_block, max_qubits)
     block = ghz(n_per_block, max_qubits=n_per_block).amplitudes
     return PureState(2 * n_per_block, np.kron(block, block))
+
+
+def _amplitude_matrix(amps: np.ndarray, n: int, rows: Sequence[int]) -> np.ndarray:
+    """The amplitudes of an n-qubit state as a 2^|rows| x 2^(n - |rows|) matrix.
+
+    The qubits in `rows`, in the order given, index the rows; the remaining
+    qubits, in ascending order, index the columns.
+    """
+    kept = set(rows)
+    rest = [q for q in range(n) if q not in kept]
+    return amps.reshape((2,) * n).transpose([*rows, *rest]).reshape(
+        1 << len(rows), 1 << len(rest)
+    )
 
 
 def to_density(s: PureState) -> DensityOperator:

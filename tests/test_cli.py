@@ -148,3 +148,19 @@ def test_missing_file_is_reported(capsys):
 def test_argparse_usage_error_exits_2(capsys):
     code, _, _ = run(capsys, "analyze", "--state", "ghz:4")  # missing --partition
     assert code == 2
+
+
+def test_entropy_of_pure_qubit_prints_positive_zero(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text('{"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
+    code, out, _ = run(capsys, "entropy", "--state", f"file:{path}", "--subset", "a")
+    assert code == 0
+    assert out == "S(a) = 0.0 nats (0.0 bits)\n"
+
+
+def test_bool_state_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bools.json"
+    path.write_text('{"n_qubits": true, "amplitudes": [[true, 0], [0, 0]]}')
+    code, _, err = run(capsys, "entropy", "--state", f"file:{path}", "--subset", "a")
+    assert code == 2
+    assert "n_qubits" in err

@@ -23,7 +23,14 @@ from qcorr import (
     uniform_entangled,
     validate_density,
 )
-from helpers import random_density, random_pure
+from qcorr.report import parse_partition
+from helpers import (
+    brute_index_of_correlation,
+    brute_reduced,
+    brute_total_correlation,
+    random_density,
+    random_pure,
+)
 
 LN2 = math.log(2)
 
@@ -232,3 +239,41 @@ def test_tradeoff_rejects_different_totals():
     d2 = decompose(validate_density(random_density(rng, 4), 4), part)
     with pytest.raises(PreconditionError):
         tradeoff_delta(d1, d2)
+
+
+def test_decompose_matches_brute_force_oracle_on_unsorted_cuts():
+    rng = np.random.default_rng(61)
+    for n in (3, 4):
+        m = random_density(rng, n)
+        rho = validate_density(m, n)
+        for _ in range(3):
+            order = [int(q) for q in rng.permutation(n)]
+            cut = int(rng.integers(1, n))
+            alpha, beta = tuple(order[:cut]), tuple(order[cut:])
+            d = decompose(rho, Partition(alpha, beta))
+            m_a = brute_reduced(m, n, alpha)
+            m_b = brute_reduced(m, n, beta)
+            assert d.internal_alpha == pytest.approx(
+                brute_total_correlation(m_a, len(alpha)), abs=1e-10
+            )
+            assert d.internal_beta == pytest.approx(
+                brute_total_correlation(m_b, len(beta)), abs=1e-10
+            )
+            assert d.external == pytest.approx(
+                brute_index_of_correlation(m, n, alpha, beta), abs=1e-10
+            )
+            assert d.total == pytest.approx(brute_total_correlation(m, n), abs=1e-10)
+
+
+def test_label_falls_back_to_index_syntax_past_26_qubits():
+    part = Partition(range(20), range(20, 30))
+    label = part.label()
+    assert label == ",".join(map(str, range(20))) + "|" + ",".join(map(str, range(20, 30)))
+    assert parse_partition(label, 30) == part
+    shuffled = Partition((29, 3), tuple(q for q in range(30) if q not in (29, 3)))
+    assert parse_partition(shuffled.label(), 30) == shuffled
+    # up to 26 qubits the letter syntax is unchanged
+    assert Partition(range(13), range(13, 26)).label() == (
+        "abcdefghijklm|nopqrstuvwxyz"
+    )
+    assert Partition((25,), range(25)).label() == "z|abcdefghijklmnopqrstuvwxy"

@@ -8,6 +8,7 @@ import pytest
 
 from qcorr import (
     NotNormalizedError,
+    PureState,
     Region,
     SpecParseError,
     StateFileError,
@@ -276,3 +277,24 @@ def test_analyze_all_partitions_token():
     assert {e.partition for e in report.entries} == {
         p.label() for p in enumerate_bipartitions(4)
     }
+
+
+def test_load_state_file_rejects_bools(tmp_path):
+    path = tmp_path / "bools.json"
+    for text in [
+        '{"n_qubits": true, "amplitudes": [[true, 0], [0, 0]]}',
+        '{"n_qubits": true, "amplitudes": [[1, 0], [0, 0]]}',
+        '{"n_qubits": 1, "amplitudes": [[true, 0], [0, 0]]}',
+        '{"n_qubits": 1, "amplitudes": [[1, false], [0, 0]]}',
+    ]:
+        path.write_text(text)
+        with pytest.raises(StateFileError):
+            load_state_file(str(path))
+
+
+def test_zero_entropies_and_correlations_are_positive_zero():
+    basis = PureState(1, np.array([1.0, 0.0], dtype=complex))
+    assert math.copysign(1.0, subset_entropy(basis, (0,))) == 1.0
+    report = analyze(ghz(2), "a|b")
+    assert math.copysign(1.0, report.entries[0].internal_alpha) == 1.0
+    assert math.copysign(1.0, report.entries[0].internal_beta) == 1.0
