@@ -32,8 +32,6 @@ from .errors import (
     TraceError,
 )
 from .linalg import (
-    EigenSpectrum,
-    hermitian_eigenvalues,
     kron,
     partial_trace,
     permute_matrix_qubits,

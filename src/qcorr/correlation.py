@@ -15,9 +15,14 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PartitionError
 from .linalg import partial_trace
-from .states import DensityOperator
+from .states import (
+    DensityOperator,
+    PureState,
+    _amplitude_matrix,
+    _check_subset,
+    hermitian_spectrum,
+)
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -82,39 +87,62 @@ def entropy_from_probs(p: np.ndarray) -> float:
     return clamp_nonneg(float(-np.sum(p * np.log(p))))
 
 
-def _entropy_of_matrix(m: np.ndarray) -> float:
-    sym = (m + m.conj().T) / 2.0
-    return entropy_from_probs(np.linalg.eigvalsh(sym))
+def _schmidt_probs(amps: np.ndarray, n: int, alpha: Sequence[int]) -> np.ndarray:
+    """Squared singular values of the amplitude matrix for the given cut.
+
+    These are the shared eigenvalues of both reduced operators of a pure
+    state, so one SVD yields S(alpha) and S(beta) at once. They come in
+    descending order.
+    """
+    sv = np.linalg.svd(_amplitude_matrix(amps, n, alpha), compute_uv=False)
+    return sv * sv
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """-Tr(rho ln rho) in nats, with 0 ln 0 = 0 and the result clamped to >= 0."""
-    return _entropy_of_matrix(rho.matrix)
+def von_neumann_entropy(
+    state: PureState | DensityOperator, subset: Sequence[int] | None = None
+) -> float:
+    """S of the state's reduction onto `subset` (the whole register if None).
+
+    -Tr(rho ln rho) in nats, with 0 ln 0 = 0 and the result clamped to >= 0.
+    A pure state is reduced through its Schmidt probabilities and never
+    densified; its whole-register entropy comes from |psi|^2. An operator is
+    reduced by partial trace; its whole-register entropy reads the cached
+    `DensityOperator.spectrum`. Raises IndexError unless `subset` holds
+    distinct qubits in range.
+    """
+    n = state.n_qubits
+    pure = isinstance(state, PureState)
+    if subset is not None:
+        subset = _check_subset(subset, n)
+        if len(subset) < n:
+            if pure:
+                return entropy_from_probs(_schmidt_probs(state.amplitudes, n, subset))
+            return entropy_from_probs(
+                hermitian_spectrum(partial_trace(state.matrix, n, subset))
+            )
+    if pure:
+        # A pure state's operator is rank one with eigenvalue |psi|^2 exactly.
+        amps = state.amplitudes
+        return entropy_from_probs(np.array([float(np.vdot(amps, amps).real)]))
+    return entropy_from_probs(state.spectrum)
 
 
-def subsystem_entropies(rho: DensityOperator) -> list[float]:
+def subsystem_entropies(state: PureState | DensityOperator) -> list[float]:
     """Entropy of each single-qubit reduction, in qubit order."""
-    m, n = rho.matrix, rho.n_qubits
-    return [_entropy_of_matrix(partial_trace(m, n, (k,))) for k in range(n)]
+    return [von_neumann_entropy(state, (k,)) for k in range(state.n_qubits)]
 
 
-def total_correlation(rho: DensityOperator) -> float:
+def total_correlation(state: PureState | DensityOperator) -> float:
     """Sum of single-qubit entropies minus the total entropy, clamped to >= 0."""
-    s_total = von_neumann_entropy(rho)
-    return clamp_nonneg(sum(subsystem_entropies(rho)) - s_total)
+    return clamp_nonneg(sum(subsystem_entropies(state)) - von_neumann_entropy(state))
 
 
-def index_of_correlation(rho: DensityOperator, part: "Partition") -> float:
+def index_of_correlation(state: PureState | DensityOperator, part: "Partition") -> float:
     """S(rho_alpha) + S(rho_beta) - S(rho) across the given bipartition."""
-    if part.n_qubits != rho.n_qubits:
-        raise PartitionError(
-            f"partition covers {part.n_qubits} qubits but the operator has "
-            f"{rho.n_qubits}"
-        )
-    m, n = rho.matrix, rho.n_qubits
-    s_a = _entropy_of_matrix(partial_trace(m, n, part.alpha))
-    s_b = _entropy_of_matrix(partial_trace(m, n, part.beta))
-    return clamp_nonneg(s_a + s_b - von_neumann_entropy(rho))
+    part.check_size(state.n_qubits)
+    s_a = von_neumann_entropy(state, part.alpha)
+    s_b = von_neumann_entropy(state, part.beta)
+    return clamp_nonneg(s_a + s_b - von_neumann_entropy(state))
 
 
 def max_total_correlation(n_qubits: int) -> float:
@@ -165,20 +193,17 @@ def classify_region(
     return Region.UNATTAINABLE
 
 
-def araki_lieb_check(rho: DensityOperator, part: "Partition") -> ArakiLiebResult:
+def araki_lieb_check(
+    state: PureState | DensityOperator, part: "Partition"
+) -> ArakiLiebResult:
     """Check |S_A - S_B| <= S <= S_A + S_B for the given bipartition.
 
     Returns the slack of each inequality; `ok` means both are >= -1e-9.
     """
-    if part.n_qubits != rho.n_qubits:
-        raise PartitionError(
-            f"partition covers {part.n_qubits} qubits but the operator has "
-            f"{rho.n_qubits}"
-        )
-    m, n = rho.matrix, rho.n_qubits
-    s_a = _entropy_of_matrix(partial_trace(m, n, part.alpha))
-    s_b = _entropy_of_matrix(partial_trace(m, n, part.beta))
-    s = von_neumann_entropy(rho)
+    part.check_size(state.n_qubits)
+    s_a = von_neumann_entropy(state, part.alpha)
+    s_b = von_neumann_entropy(state, part.beta)
+    s = von_neumann_entropy(state)
     lower = s - abs(s_a - s_b)
     upper = s_a + s_b - s
     return ArakiLiebResult(lower >= -1e-9 and upper >= -1e-9, lower, upper)

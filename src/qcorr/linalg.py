@@ -6,28 +6,15 @@ most significant bit of the row/column index (see `qcorr.states`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotHermitianError, SizeCapError
-from .states import PureState
+from .errors import SizeCapError
+from .states import PureState, _check_subset
 
 #: Kronecker products refuse to allocate beyond this many matrix entries.
 MAX_KRON_ENTRIES = 1 << 24
-
-
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Real eigenvalues of a Hermitian matrix, ascending, plus a residual.
-
-    `residual` is the Frobenius norm of the off-diagonal part of V^dagger M V
-    after diagonalization; it certifies the quality of the spectrum.
-    """
-
-    values: np.ndarray
-    residual: float
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
@@ -53,27 +40,6 @@ def kron(a: np.ndarray, b: np.ndarray, *, max_entries: int = MAX_KRON_ENTRIES) -
     return np.kron(a, b)
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> EigenSpectrum:
-    """Eigenvalues of a Hermitian matrix, sorted ascending.
-
-    The input must be Hermitian within `tol` (max-entry distance to its
-    conjugate transpose); it is symmetrized as (m + m^dagger)/2 before
-    diagonalization to absorb accumulated rounding.
-    """
-    a = _as_square(m)
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > tol:
-        raise NotHermitianError(
-            f"max |m - m^dagger| entry is {defect:.3e}, above tol={tol}"
-        )
-    sym = (a + a.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(sym)
-    diag = vectors.conj().T @ sym @ vectors
-    np.fill_diagonal(diag, 0.0)
-    residual = float(np.linalg.norm(diag))
-    return EigenSpectrum(values=values, residual=residual)
-
-
 def partial_trace(m: np.ndarray, n_qubits: int, keep: Iterable[int]) -> np.ndarray:
     """Trace out every qubit not in `keep`.
 
@@ -86,21 +52,15 @@ def partial_trace(m: np.ndarray, n_qubits: int, keep: Iterable[int]) -> np.ndarr
         raise ValueError(
             f"matrix shape {a.shape} does not match {n_qubits} qubits (dim {dim})"
         )
-    kept = tuple(int(q) for q in keep)
-    seen = set()
-    for q in kept:
-        if q < 0 or q >= n_qubits:
-            raise IndexError(f"keep index {q} out of range for {n_qubits} qubits")
-        if q in seen:
-            raise IndexError(f"keep index {q} repeated")
-        seen.add(q)
-    traced = [q for q in range(n_qubits) if q not in seen]
-    dk = 1 << len(kept)
-    dt = 1 << len(traced)
-    t = a.reshape((2,) * (2 * n_qubits))
-    axes = [*kept, *traced, *(n_qubits + q for q in kept), *(n_qubits + q for q in traced)]
-    t = t.transpose(axes).reshape(dk, dt, dk, dt)
-    return np.einsum("ijkj->ik", t)
+    kept = _check_subset(keep, n_qubits)
+    # A traced qubit's row and column axes share one einsum label, so only
+    # the entries diagonal in the traced qubits are read; nothing is copied.
+    cols = [n_qubits + q if q in kept else q for q in range(n_qubits)]
+    out = [*kept, *(n_qubits + q for q in kept)]
+    t = np.einsum(a.reshape((2,) * (2 * n_qubits)), [*range(n_qubits), *cols], out)
+    # With no qubit traced, einsum returns a view of the input; copy so the
+    # result never aliases `m`.
+    return t.reshape(1 << len(kept), 1 << len(kept)).copy()
 
 
 def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:

@@ -14,16 +14,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .correlation import (
-    LN2,
-    _entropy_of_matrix,
-    clamp_nonneg,
-    subsystem_entropies,
-    von_neumann_entropy,
-)
+from .correlation import LN2, clamp_nonneg, subsystem_entropies, von_neumann_entropy
 from .errors import PartitionError, PreconditionError
 from .linalg import kron, partial_trace, permute_matrix_qubits
-from .states import DensityOperator, PureState, to_density
+from .states import DensityOperator, PureState
 
 IDENTITY_TOL = 1e-8
 
@@ -61,6 +55,14 @@ class Partition:
     def n_qubits(self) -> int:
         return len(self.alpha) + len(self.beta)
 
+    def check_size(self, n_qubits: int) -> None:
+        """Raise PartitionError unless the partition covers `n_qubits` qubits."""
+        if self.n_qubits != n_qubits:
+            raise PartitionError(
+                f"partition covers {self.n_qubits} qubits but the state has "
+                f"{n_qubits}"
+            )
+
     def label(self) -> str:
         """Letter syntax, e.g. 'ab|cd' (qubit 0 is 'a').
 
@@ -85,30 +87,23 @@ class Decomposition:
     total: float
 
 
-def decompose(rho: DensityOperator, part: Partition) -> Decomposition:
+def decompose(state: PureState | DensityOperator, part: Partition) -> Decomposition:
     """Internal correlation of each side plus the external correlation.
 
     internal = total correlation of the side's reduced operator;
     external = index of correlation across the cut. Their sum reproduces
     the total correlation within 1e-8.
 
-    Each entropy is computed once: S(rho), S(rho_alpha), S(rho_beta), and
-    the single-qubit entropies, taken from rho_alpha and rho_beta since
-    those are marginals of rho too.
+    Each entropy is computed once: the single-qubit entropies, S(alpha),
+    S(beta) and S of the whole state.
     """
-    if part.n_qubits != rho.n_qubits:
-        raise PartitionError(
-            f"partition covers {part.n_qubits} qubits but the operator has "
-            f"{rho.n_qubits}"
-        )
-    m, n = rho.matrix, rho.n_qubits
-    rho_a = DensityOperator(len(part.alpha), partial_trace(m, n, part.alpha))
-    rho_b = DensityOperator(len(part.beta), partial_trace(m, n, part.beta))
-    s_k_alpha = sum(subsystem_entropies(rho_a))
-    s_k_beta = sum(subsystem_entropies(rho_b))
-    s_alpha = von_neumann_entropy(rho_a)
-    s_beta = von_neumann_entropy(rho_b)
-    s_total = von_neumann_entropy(rho)
+    part.check_size(state.n_qubits)
+    s_k = subsystem_entropies(state)
+    s_k_alpha = sum(s_k[q] for q in part.alpha)
+    s_k_beta = sum(s_k[q] for q in part.beta)
+    s_alpha = von_neumann_entropy(state, part.alpha)
+    s_beta = von_neumann_entropy(state, part.beta)
+    s_total = von_neumann_entropy(state)
     internal_alpha = clamp_nonneg(s_k_alpha - s_alpha)
     internal_beta = clamp_nonneg(s_k_beta - s_beta)
     external = clamp_nonneg(s_alpha + s_beta - s_total)
@@ -129,31 +124,26 @@ def pure_state_decomposition_identities(s: PureState, part: Partition) -> Decomp
     and total correlation 2n ln 2 (all within 1e-8). Verifies that
     external = 2 S(alpha) and each internal = n ln 2 - S(alpha).
     """
-    if part.n_qubits != s.n_qubits:
-        raise PartitionError(
-            f"partition covers {part.n_qubits} qubits but the state has "
-            f"{s.n_qubits}"
-        )
+    part.check_size(s.n_qubits)
     n_side = len(part.alpha)
     if n_side != len(part.beta):
         raise PreconditionError(
             f"sides must be the same size, got {len(part.alpha)} and "
             f"{len(part.beta)}"
         )
-    rho = to_density(s)
-    for k, s_k in enumerate(subsystem_entropies(rho)):
+    for k, s_k in enumerate(subsystem_entropies(s)):
         if abs(s_k - LN2) > IDENTITY_TOL:
             raise PreconditionError(
                 f"single-qubit entropy of qubit {k} is {s_k}, not ln 2"
             )
-    result = decompose(rho, part)
+    result = decompose(s, part)
     expected_total = 2 * n_side * LN2
     if abs(result.total - expected_total) > IDENTITY_TOL:
         raise PreconditionError(
             f"total correlation is {result.total}, not the maximum "
             f"{expected_total}"
         )
-    s_alpha = _entropy_of_matrix(partial_trace(rho.matrix, rho.n_qubits, part.alpha))
+    s_alpha = von_neumann_entropy(s, part.alpha)
     checks = [
         ("external = 2 S(alpha)", result.external, 2.0 * s_alpha),
         ("internal(alpha) = n ln2 - S(alpha)", result.internal_alpha, n_side * LN2 - s_alpha),
@@ -196,11 +186,7 @@ def is_product_across(rho: DensityOperator, part: Partition, tol: float = 1e-9) 
     This detects exact product form across the cut only; it is not a general
     separability test.
     """
-    if part.n_qubits != rho.n_qubits:
-        raise PartitionError(
-            f"partition covers {part.n_qubits} qubits but the operator has "
-            f"{rho.n_qubits}"
-        )
+    part.check_size(rho.n_qubits)
     m, n = rho.matrix, rho.n_qubits
     order = part.alpha + part.beta
     perm = [0] * n

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import LN2, _entropy_of_matrix, clamp_nonneg, entropy_from_probs
-from .states import DensityOperator, PureState, _amplitude_matrix
+from .correlation import LN2, total_correlation
+from .states import DensityOperator, PureState, hermitian_spectrum
 
 #: Eigenvalues at or below this threshold are treated as numerical noise.
 RANK_THRESHOLD = 1e-10
@@ -36,8 +36,7 @@ class PurificationResult:
 
 def spectral_rank(rho: DensityOperator, threshold: float = RANK_THRESHOLD) -> int:
     """Number of eigenvalues above `threshold`."""
-    sym = (rho.matrix + rho.matrix.conj().T) / 2.0
-    return int(np.count_nonzero(np.linalg.eigvalsh(sym) > threshold))
+    return int(np.count_nonzero(rho.spectrum > threshold))
 
 
 def min_purifying_qubits(rho: DensityOperator) -> int:
@@ -90,25 +89,15 @@ def purify(rho: DensityOperator) -> PurificationResult:
     purified = PureState(n + k, table.reshape(-1))
 
     diff = table @ table.conj().T - rho.matrix
-    diff_eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
-    residual = 0.5 * float(np.sum(np.abs(diff_eigs)))
+    residual = 0.5 * float(np.sum(np.abs(hermitian_spectrum(diff))))
     return PurificationResult(ancilla_qubits=k, purified=purified, residual=residual)
 
 
 def is_maximally_correlated_purification(r: PurificationResult) -> bool:
     """True iff the purified state carries the global maximum (n+k) ln 2.
 
-    The total correlation of the pure state is the sum of its single-qubit
-    entropies minus S = -|psi|^2 ln |psi|^2. Each single-qubit reduction is
-    the 2x2 Gram matrix of the amplitudes with that qubit as the row index,
-    so no operator larger than 2x2 is built.
+    The total correlation is taken from the pure state's amplitudes, so no
+    operator of the purified state is built.
     """
     n_total = r.purified.n_qubits
-    amps = r.purified.amplitudes
-    s_k = 0.0
-    for q in range(n_total):
-        m = _amplitude_matrix(amps, n_total, (q,))
-        s_k += _entropy_of_matrix(m @ m.conj().T)
-    s_total = entropy_from_probs(np.array([float(np.vdot(amps, amps).real)]))
-    tot = clamp_nonneg(s_k - s_total)
-    return abs(tot - n_total * LN2) <= MAXCORR_TOL
+    return abs(total_correlation(r.purified) - n_total * LN2) <= MAXCORR_TOL

@@ -21,10 +21,13 @@ from .correlation import (
     LN2,
     BoundsReport,
     Region,
+    _schmidt_probs,
     clamp_nonneg,
     classify_region,
     correlation_bounds,
     entropy_from_probs,
+    subsystem_entropies,
+    von_neumann_entropy,
 )
 from .errors import NotNormalizedError, SpecParseError, StateFileError
 from .partitions import Partition, enumerate_bipartitions
@@ -274,21 +277,6 @@ def parse_subset(text: str, n_qubits: int) -> tuple[int, ...]:
     return qubits
 
 
-def _schmidt_probs(amps: np.ndarray, n: int, alpha: Sequence[int]) -> np.ndarray:
-    """Squared singular values of the amplitude matrix for the given cut.
-
-    These are the shared eigenvalues of both reduced operators of a pure
-    state, so one SVD yields S(alpha) and S(beta) at once. They come in
-    descending order.
-    """
-    sv = np.linalg.svd(_amplitude_matrix(amps, n, alpha), compute_uv=False)
-    return sv * sv
-
-
-def _single_qubit_entropies(amps: np.ndarray, n: int) -> list[float]:
-    return [float(entropy_from_probs(_schmidt_probs(amps, n, (k,)))) for k in range(n)]
-
-
 def _product_flag(probs: np.ndarray) -> bool:
     """Product-across check for a pure state from its Schmidt probabilities.
 
@@ -308,17 +296,16 @@ def _analyze_pure(
 ) -> CorrelationReport:
     n = state.n_qubits
     amps = state.amplitudes
-    # A pure state's operator is rank one with eigenvalue |psi|^2 exactly.
-    nrm2 = float(np.vdot(amps, amps).real)
-    s_total = entropy_from_probs(np.array([nrm2]))
-    s_k = _single_qubit_entropies(amps, n)
+    s_total = von_neumann_entropy(state)
+    s_k = subsystem_entropies(state)
     total = clamp_nonneg(sum(s_k) - s_total)
 
     entries = []
     al_ok = True
     for part in parts:
+        # One SVD per cut gives both S(alpha) and the product flag.
         probs = _schmidt_probs(amps, n, part.alpha)
-        s_cut = float(entropy_from_probs(probs))
+        s_cut = entropy_from_probs(probs)
         internal_alpha = clamp_nonneg(sum(s_k[q] for q in part.alpha) - s_cut)
         internal_beta = clamp_nonneg(sum(s_k[q] for q in part.beta) - s_cut)
         external = clamp_nonneg(2.0 * s_cut - s_total)
@@ -402,10 +389,7 @@ def subset_entropy(
     qubits = (
         parse_subset(subset, state.n_qubits) if isinstance(subset, str) else tuple(subset)
     )
-    if len(qubits) == state.n_qubits:
-        nrm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
-        return entropy_from_probs(np.array([nrm2]))
-    return float(entropy_from_probs(_schmidt_probs(state.amplitudes, state.n_qubits, qubits)))
+    return von_neumann_entropy(state, qubits)
 
 
 def reduced_operator(state: PureState, subset: Sequence[int]) -> DensityOperator:
@@ -415,12 +399,8 @@ def reduced_operator(state: PureState, subset: Sequence[int]) -> DensityOperator
     reduction is the Gram matrix M M^dagger of dimension 2^|subset|; the
     2^n x 2^n density operator of the state is never built.
     """
-    n = state.n_qubits
-    kept = tuple(int(q) for q in subset)
-    if len(set(kept)) != len(kept) or not all(0 <= q < n for q in kept):
-        raise IndexError(f"subset {kept} must hold distinct qubits in 0..{n - 1}")
-    mat = _amplitude_matrix(state.amplitudes, n, kept)
-    return DensityOperator(len(kept), mat @ mat.conj().T)
+    mat = _amplitude_matrix(state.amplitudes, state.n_qubits, subset)
+    return DensityOperator(len(subset), mat @ mat.conj().T)
 
 
 def _sig12(x: float) -> float:

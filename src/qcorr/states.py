@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,7 +70,8 @@ class DensityOperator:
 
     Construction checks Hermiticity and trace (cheap, entrywise); positivity
     of the spectrum is only verified by `validate_density`, which is the
-    entry point for untrusted matrices.
+    entry point for untrusted matrices. The spectrum is cached on first use,
+    so the matrix must not be changed in place afterwards.
     """
 
     n_qubits: int
@@ -98,6 +100,22 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues, ascending; computed on first use and kept read-only."""
+        values = hermitian_spectrum(self.matrix)
+        values.setflags(write=False)
+        return values
+
+
+def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of (m + m^dagger)/2, ascending.
+
+    Symmetrizing absorbs the rounding that leaves a computed Hermitian
+    matrix slightly off Hermitian.
+    """
+    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
 
 
 def _check_cap(n_qubits: int, max_qubits: int | None) -> None:
@@ -157,12 +175,21 @@ def ghz_block_product(n_per_block: int, *, max_qubits: int | None = None) -> Pur
     return PureState(2 * n_per_block, np.kron(block, block))
 
 
+def _check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
+    """`subset` as a tuple, checked to hold distinct qubits in 0..n-1."""
+    kept = tuple(int(q) for q in subset)
+    if len(set(kept)) != len(kept) or not all(0 <= q < n for q in kept):
+        raise IndexError(f"subset {kept} must hold distinct qubits in 0..{n - 1}")
+    return kept
+
+
 def _amplitude_matrix(amps: np.ndarray, n: int, rows: Sequence[int]) -> np.ndarray:
     """The amplitudes of an n-qubit state as a 2^|rows| x 2^(n - |rows|) matrix.
 
     The qubits in `rows`, in the order given, index the rows; the remaining
     qubits, in ascending order, index the columns.
     """
+    rows = _check_subset(rows, n)
     kept = set(rows)
     rest = [q for q in range(n) if q not in kept]
     return amps.reshape((2,) * n).transpose([*rows, *rest]).reshape(
@@ -180,11 +207,11 @@ def validate_density(m: np.ndarray, n_qubits: int) -> DensityOperator:
 
     Raises NotHermitianError, TraceError, or NotPositiveError naming the
     violated invariant. Eigenvalues in [-POSITIVITY_TOL, 0) are tolerated;
-    entropy routines clamp them to zero downstream.
+    entropy routines clamp them to zero downstream. The returned operator
+    keeps the spectrum this check computed, so entropies reuse it.
     """
     op = DensityOperator(n_qubits, m)
-    sym = (op.matrix + op.matrix.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    min_eig = float(op.spectrum[0])
     if min_eig < -POSITIVITY_TOL:
         raise NotPositiveError(
             f"minimum eigenvalue is {min_eig:.3e}, below -{POSITIVITY_TOL}"

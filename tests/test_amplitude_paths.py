@@ -35,7 +35,8 @@ from qcorr import (
     validate_density,
 )
 from qcorr.cli import main
-from qcorr.report import _product_flag, _schmidt_probs
+from qcorr.correlation import _schmidt_probs
+from qcorr.report import _product_flag
 from helpers import brute_reduced, random_density, random_pure
 
 LN2 = math.log(2)

@@ -1,15 +1,13 @@
-"""Kronecker product, Hermitian spectra, partial trace, qubit permutation."""
+"""Kronecker product, partial trace, qubit permutation."""
 
 import numpy as np
 import pytest
 
 from qcorr import (
-    NotHermitianError,
     PureState,
     SizeCapError,
     bell_product,
     ghz,
-    hermitian_eigenvalues,
     kron,
     partial_trace,
     permute_qubits,
@@ -56,45 +54,6 @@ def test_kron_size_cap():
     big = np.zeros((256, 256), dtype=complex)
     with pytest.raises(SizeCapError):
         kron(big, big)
-
-
-def test_eigenvalues_identity():
-    spec = hermitian_eigenvalues(I2)
-    assert np.allclose(spec.values, [1.0, 1.0], atol=1e-14)
-
-
-def test_eigenvalues_rank_one_projector():
-    spec = hermitian_eigenvalues(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-    assert np.allclose(spec.values, [0.0, 1.0], atol=1e-14)
-
-
-def test_eigenvalues_ghz_reduction():
-    rho = to_density(ghz(4)).matrix
-    spec = hermitian_eigenvalues(partial_trace(rho, 4, (0, 1)))
-    assert np.allclose(spec.values, [0.0, 0.0, 0.5, 0.5], atol=1e-12)
-
-
-def test_eigenvalues_trace_invariants_random():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 4, 5, 6):
-        g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-        m = (g + g.conj().T) / 2
-        spec = hermitian_eigenvalues(m)
-        assert np.all(np.diff(spec.values) >= 0)
-        assert abs(np.sum(spec.values) - np.trace(m).real) < 1e-9
-        assert abs(np.sum(spec.values**2) - np.trace(m @ m).real) < 1e-9
-        assert spec.residual <= 1e-12 * np.linalg.norm(m)
-
-
-def test_eigenvalues_unit_trace_sums_to_one():
-    rng = np.random.default_rng(13)
-    spec = hermitian_eigenvalues(random_density(rng, 3))
-    assert abs(np.sum(spec.values) - 1.0) < 1e-10
-
-
-def test_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_partial_trace_bell_pair():
