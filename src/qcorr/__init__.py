@@ -34,7 +34,6 @@ from .errors import (
 from .linalg import (
     kron,
     partial_trace,
-    permute_matrix_qubits,
     permute_qubits,
 )
 from .partitions import (

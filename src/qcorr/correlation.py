@@ -53,8 +53,9 @@ class BoundsReport:
     quantum_upper: largest value reachable when the joint state may be pure
         (plain sum).
     gap_bound: bound on the quantum-classical gap (the max entry).
-    araki_lieb_ok: set when a triangle-inequality check has been run for the
-        state this report describes; None if not evaluated.
+    araki_lieb_ok: True when `araki_lieb_check` passed on every partition of
+        the report this belongs to, False when it failed on any; None when
+        no check was run, as from `correlation_bounds` alone.
     """
 
     classical_upper: float
@@ -98,32 +99,52 @@ def _schmidt_probs(amps: np.ndarray, n: int, alpha: Sequence[int]) -> np.ndarray
     return sv * sv
 
 
+def _schmidt_cut(state: PureState, subset: Sequence[int]) -> tuple[np.ndarray, float]:
+    """(Schmidt probabilities, entropy) of the cut between `subset` and the rest.
+
+    Memoised on the state under the qubit set of each side, as both sides of
+    a pure state share their spectrum. A hit needs the set to be as long as
+    `subset`, so (0, 0) misses; a miss validates `subset`.
+    """
+    subset = tuple(subset)
+    key = frozenset(subset)
+    cut = state._cuts.get(key)
+    if cut is not None and len(key) == len(subset):
+        return cut
+    n, amps = state.n_qubits, state.amplitudes
+    rows = _check_subset(subset, n)
+    if 0 < len(rows) < n:
+        probs = _schmidt_probs(amps, n, rows)
+    else:  # the whole register or none of it: one probability, |psi|^2
+        probs = np.array([float(np.vdot(amps, amps).real)])
+    probs.setflags(write=False)
+    cut = (probs, entropy_from_probs(probs))
+    side = frozenset(rows)
+    state._cuts[side] = state._cuts[frozenset(range(n)) - side] = cut
+    return cut
+
+
 def von_neumann_entropy(
     state: PureState | DensityOperator, subset: Sequence[int] | None = None
 ) -> float:
     """S of the state's reduction onto `subset` (the whole register if None).
 
     -Tr(rho ln rho) in nats, with 0 ln 0 = 0 and the result clamped to >= 0.
-    A pure state is reduced through its Schmidt probabilities and never
-    densified; its whole-register entropy comes from |psi|^2. An operator is
-    reduced by partial trace; its whole-register entropy reads the cached
-    `DensityOperator.spectrum`. Raises IndexError unless `subset` holds
-    distinct qubits in range.
+    A pure state is reduced through its Schmidt probabilities, memoised per
+    cut, and never densified; its whole-register entropy comes from |psi|^2.
+    An operator is reduced by partial trace; its whole-register entropy
+    reads the cached `DensityOperator.spectrum`. Raises IndexError unless
+    `subset` holds distinct qubits in range.
     """
     n = state.n_qubits
-    pure = isinstance(state, PureState)
+    if isinstance(state, PureState):
+        return _schmidt_cut(state, range(n) if subset is None else subset)[1]
     if subset is not None:
         subset = _check_subset(subset, n)
         if len(subset) < n:
-            if pure:
-                return entropy_from_probs(_schmidt_probs(state.amplitudes, n, subset))
             return entropy_from_probs(
                 hermitian_spectrum(partial_trace(state.matrix, n, subset))
             )
-    if pure:
-        # A pure state's operator is rank one with eigenvalue |psi|^2 exactly.
-        amps = state.amplitudes
-        return entropy_from_probs(np.array([float(np.vdot(amps, amps).real)]))
     return entropy_from_probs(state.spectrum)
 
 

@@ -80,20 +80,3 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     amps = state.amplitudes.reshape((2,) * n).transpose(inverse).reshape(-1)
     return PureState(n, amps.copy())
 
-
-def permute_matrix_qubits(m: np.ndarray, n_qubits: int, perm: Sequence[int]) -> np.ndarray:
-    """Conjugate a 2**n x 2**n matrix by the qubit relabeling i -> perm[i]."""
-    a = _as_square(m)
-    dim = 1 << n_qubits
-    if a.shape != (dim, dim):
-        raise ValueError(
-            f"matrix shape {a.shape} does not match {n_qubits} qubits (dim {dim})"
-        )
-    p = [int(x) for x in perm]
-    if sorted(p) != list(range(n_qubits)):
-        raise ValueError(f"perm must be a permutation of 0..{n_qubits - 1}, got {perm!r}")
-    inverse = [0] * n_qubits
-    for i, dest in enumerate(p):
-        inverse[dest] = i
-    axes = inverse + [n_qubits + q for q in inverse]
-    return a.reshape((2,) * (2 * n_qubits)).transpose(axes).reshape(dim, dim)

@@ -7,6 +7,7 @@ them; the total is invariant under the choice of cut, the parts are not.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from itertools import combinations
@@ -14,9 +15,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .correlation import LN2, clamp_nonneg, subsystem_entropies, von_neumann_entropy
+from .correlation import (
+    LN2,
+    _schmidt_cut,
+    clamp_nonneg,
+    subsystem_entropies,
+    von_neumann_entropy,
+)
 from .errors import PartitionError, PreconditionError
-from .linalg import kron, partial_trace, permute_matrix_qubits
+from .linalg import partial_trace
 from .states import DensityOperator, PureState
 
 IDENTITY_TOL = 1e-8
@@ -180,22 +187,41 @@ def enumerate_bipartitions(n_qubits: int, size_alpha: int | None = None) -> list
     return out
 
 
-def is_product_across(rho: DensityOperator, part: Partition, tol: float = 1e-9) -> bool:
-    """True iff rho equals rho_alpha (x) rho_beta entrywise within tol.
+def _product_flag(probs: np.ndarray, tol: float = 1e-9) -> bool:
+    """Product-across check for a pure state from its Schmidt probabilities.
 
-    This detects exact product form across the cut only; it is not a general
-    separability test.
+    A pure state is a product across the cut iff its Schmidt rank is 1. With
+    normalised probabilities p (descending) and tail = p[1] + p[2] + ...,
+    the Frobenius distance between rho and rho_alpha (x) rho_beta is
+    sqrt(2 tail) to first order in tail. The tail is summed directly rather
+    than as 1 - p[0], which would cancel.
     """
-    part.check_size(rho.n_qubits)
-    m, n = rho.matrix, rho.n_qubits
-    order = part.alpha + part.beta
-    perm = [0] * n
-    for new_pos, q in enumerate(order):
-        perm[q] = new_pos
-    reordered = permute_matrix_qubits(m, n, perm)
-    rho_a = partial_trace(m, n, part.alpha)
-    rho_b = partial_trace(m, n, part.beta)
-    return float(np.max(np.abs(reordered - kron(rho_a, rho_b)))) <= tol
+    p = probs / float(np.sum(probs))
+    tail = float(np.sum(p[1:]))
+    return math.sqrt(2.0 * tail) <= tol
+
+
+def is_product_across(
+    state: PureState | DensityOperator, part: Partition, tol: float = 1e-9
+) -> bool:
+    """True iff rho equals rho_alpha (x) rho_beta within tol.
+
+    A pure state is decided by its Schmidt tail (`_product_flag`), an operator
+    entrywise. This detects exact product form across the cut only; it is
+    not a general separability test.
+    """
+    part.check_size(state.n_qubits)
+    if isinstance(state, PureState):
+        return _product_flag(_schmidt_cut(state, part.alpha)[0], tol)
+    m, n = state.matrix, state.n_qubits
+    a, b = part.alpha, part.beta
+    rho_a = partial_trace(m, n, a).reshape((2,) * (2 * len(a)))
+    rho_b = partial_trace(m, n, b).reshape((2,) * (2 * len(b)))
+    # The outer product's axes hold these axes of rho, whose qubit q has row
+    # axis q and column axis n + q; argsort puts them back in rho's order.
+    held = [*a, *(n + q for q in a), *b, *(n + q for q in b)]
+    product = np.multiply.outer(rho_a, rho_b).transpose(np.argsort(held))
+    return float(np.max(np.abs(m - product.reshape(m.shape)))) <= tol
 
 
 def tradeoff_delta(d1: Decomposition, d2: Decomposition) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,16 +21,15 @@ from .correlation import (
     LN2,
     BoundsReport,
     Region,
-    _schmidt_probs,
-    clamp_nonneg,
+    araki_lieb_check,
     classify_region,
     correlation_bounds,
-    entropy_from_probs,
     subsystem_entropies,
+    total_correlation,
     von_neumann_entropy,
 )
 from .errors import NotNormalizedError, SpecParseError, StateFileError
-from .partitions import Partition, enumerate_bipartitions
+from .partitions import Partition, decompose, enumerate_bipartitions, is_product_across
 from .states import (
     NORM_TOL,
     DensityOperator,
@@ -277,70 +276,35 @@ def parse_subset(text: str, n_qubits: int) -> tuple[int, ...]:
     return qubits
 
 
-def _product_flag(probs: np.ndarray) -> bool:
-    """Product-across check for a pure state from its Schmidt probabilities.
-
-    A pure state is a product across the cut iff its Schmidt rank is 1. With
-    normalised probabilities p (descending) and tail = p[1] + p[2] + ...,
-    the Frobenius distance between rho and rho_alpha (x) rho_beta is
-    sqrt(2 tail) to first order in tail. The tail is summed directly rather
-    than as 1 - p[0], which would cancel.
-    """
-    p = probs / float(np.sum(probs))
-    tail = float(np.sum(p[1:]))
-    return math.sqrt(2.0 * tail) <= 1e-9
-
-
 def _analyze_pure(
     state: PureState, parts: Sequence[Partition], units: str
 ) -> CorrelationReport:
-    n = state.n_qubits
-    amps = state.amplitudes
-    s_total = von_neumann_entropy(state)
+    # The state memoises its Schmidt cuts: the calls below make one SVD per cut.
     s_k = subsystem_entropies(state)
-    total = clamp_nonneg(sum(s_k) - s_total)
-
     entries = []
-    al_ok = True
+    araki_lieb_ok = True
     for part in parts:
-        # One SVD per cut gives both S(alpha) and the product flag.
-        probs = _schmidt_probs(amps, n, part.alpha)
-        s_cut = entropy_from_probs(probs)
-        internal_alpha = clamp_nonneg(sum(s_k[q] for q in part.alpha) - s_cut)
-        internal_beta = clamp_nonneg(sum(s_k[q] for q in part.beta) - s_cut)
-        external = clamp_nonneg(2.0 * s_cut - s_total)
-        al_ok = al_ok and (s_total >= -1e-9) and (2.0 * s_cut - s_total >= -1e-9)
+        d = decompose(state, part)
+        araki_lieb_ok = araki_lieb_check(state, part).ok and araki_lieb_ok
+        a, b = len(part.alpha), len(part.beta)
         entries.append(
             PartitionAnalysis(
                 partition=part.label(),
-                internal_alpha=internal_alpha,
-                internal_beta=internal_beta,
-                external=external,
-                region_internal_alpha=classify_region(
-                    internal_alpha, [LN2] * len(part.alpha)
-                ),
-                region_internal_beta=classify_region(
-                    internal_beta, [LN2] * len(part.beta)
-                ),
-                region_external=classify_region(
-                    external, [len(part.alpha) * LN2, len(part.beta) * LN2]
-                ),
-                product_across=_product_flag(probs),
+                internal_alpha=d.internal_alpha,
+                internal_beta=d.internal_beta,
+                external=d.external,
+                region_internal_alpha=classify_region(d.internal_alpha, [LN2] * a),
+                region_internal_beta=classify_region(d.internal_beta, [LN2] * b),
+                region_external=classify_region(d.external, [a * LN2, b * LN2]),
+                product_across=is_product_across(state, part),
             )
         )
-    bounds = correlation_bounds(s_k)
-    bounds = BoundsReport(
-        classical_upper=bounds.classical_upper,
-        quantum_upper=bounds.quantum_upper,
-        gap_bound=bounds.gap_bound,
-        araki_lieb_ok=al_ok,
-    )
     return CorrelationReport(
-        n_qubits=n,
+        n_qubits=state.n_qubits,
         units=units,
-        total_nats=total,
+        total_nats=total_correlation(state),
         subsystem_entropies=tuple(s_k),
-        bounds=bounds,
+        bounds=replace(correlation_bounds(s_k), araki_lieb_ok=araki_lieb_ok),
         entries=tuple(entries),
     )
 

@@ -8,7 +8,7 @@ qubit 0 and the most significant bit of the amplitude index, so |0110> on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -36,15 +36,20 @@ _SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over the 2**n_qubits computational kets."""
+    """Normalized amplitude vector over the 2**n_qubits computational kets.
+
+    `amplitudes` is a read-only copy, so the Schmidt cuts that
+    `correlation.von_neumann_entropy` memoises in `_cuts` cannot go stale.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
+    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
         dim = 1 << self.n_qubits
         if amps.shape != (dim,):
             raise ValueError(
@@ -57,6 +62,7 @@ class PureState:
             raise NotNormalizedError(
                 f"squared norm is {nrm2!r}, outside 1 +/- {NORM_TOL}"
             )
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property

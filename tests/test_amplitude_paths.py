@@ -36,7 +36,7 @@ from qcorr import (
 )
 from qcorr.cli import main
 from qcorr.correlation import _schmidt_probs
-from qcorr.report import _product_flag
+from qcorr.partitions import _product_flag
 from helpers import brute_reduced, random_density, random_pure
 
 LN2 = math.log(2)

@@ -1,0 +1,198 @@
+"""The report is built from the library's decomposition path.
+
+Each row of `analyze`/`sweep` comes from `decompose`, `is_product_across`
+and `araki_lieb_check`, and the total from `total_correlation`. A
+`PureState` memoises the Schmidt probabilities of each cut under the qubit
+set of either side, so those calls share one SVD per cut. These tests count
+the SVDs, check that the memo cannot go stale or hide a bad subset, and
+check the rows against the dense library calls and the paper's identities.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qcorr.report
+from qcorr import (
+    ArakiLiebResult,
+    Partition,
+    PartitionError,
+    PureState,
+    Region,
+    analyze,
+    araki_lieb_check,
+    decompose,
+    enumerate_bipartitions,
+    ghz,
+    is_product_across,
+    parse_partition,
+    permute_qubits,
+    sweep,
+    to_density,
+    total_correlation,
+    von_neumann_entropy,
+)
+from helpers import random_pure
+from test_entropy_engine import pure_states
+
+LN2 = math.log(2)
+TOL = 1e-10
+IDENTITY_TOL = 1e-8
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_sweep_makes_one_svd_per_cut(svd_calls):
+    n = 6
+    sweep(PureState(n, random_pure(np.random.default_rng(71), n)))
+    assert len(svd_calls) == 2 ** (n - 1) - 1
+
+
+def test_analyze_of_an_unsorted_cut_makes_one_svd_per_qubit_plus_one(svd_calls):
+    n = 6
+    state = PureState(n, random_pure(np.random.default_rng(72), n))
+    analyze(state, [Partition((2, 0), (5, 4, 3, 1))])
+    assert len(svd_calls) == n + 1
+
+
+def test_writing_to_the_callers_array_leaves_every_entropy_unchanged():
+    n = 4
+    amps = random_pure(np.random.default_rng(73), n)
+    reference = PureState(n, amps.copy())
+    state = PureState(n, amps)
+    von_neumann_entropy(state, (0,))
+    von_neumann_entropy(state, (2, 1))
+    amps[:] = 0.0
+    amps[0] = 1.0
+    subsets = [(0,), (1, 2), (3,), (0, 3), (3, 1, 0), (2, 0, 1, 3), None]
+    for subset in subsets:
+        assert von_neumann_entropy(state, subset) == von_neumann_entropy(
+            reference, subset
+        ), subset
+
+
+def test_amplitudes_are_read_only():
+    state = ghz(3)
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (1, 1, 0), (0, 0, 1, 1), (4,)])
+def test_bad_subsets_raise_after_their_set_is_memoised(bad):
+    state = ghz(4)
+    sweep(state)
+    with pytest.raises(IndexError):
+        von_neumann_entropy(state, bad)
+
+
+def test_report_rejects_a_partition_of_another_size():
+    with pytest.raises(PartitionError):
+        analyze(ghz(3), [Partition((0,), (1,))])
+
+
+def test_report_flags_araki_lieb_from_real_checks(monkeypatch):
+    assert analyze(ghz(4), "all").bounds.araki_lieb_ok is True
+    checked = []
+
+    def failing(state, part):
+        checked.append(part)
+        return ArakiLiebResult(len(checked) != 2, 0.0, 0.0)
+
+    monkeypatch.setattr(qcorr.report, "araki_lieb_check", failing)
+    report = analyze(ghz(4), "all")
+    assert len(checked) == len(report.entries) == 7
+    assert report.bounds.araki_lieb_ok is False
+
+
+@settings(deadline=None, max_examples=80)
+@given(pure_states(min_qubits=2, max_qubits=5))
+def test_report_rows_match_the_library_on_the_density(state):
+    n = state.n_qubits
+    cuts = enumerate_bipartitions(n)
+    parts = cuts + [Partition(p.beta[::-1], p.alpha[::-1]) for p in cuts]
+    report = analyze(state, parts)
+    rho = to_density(state)
+    assert abs(report.total_nats - total_correlation(rho)) <= TOL
+    assert report.bounds.araki_lieb_ok is True
+    for part, entry in zip(parts, report.entries):
+        d = decompose(rho, part)
+        assert entry.partition == part.label()
+        assert abs(entry.internal_alpha - d.internal_alpha) <= TOL
+        assert abs(entry.internal_beta - d.internal_beta) <= TOL
+        assert abs(entry.external - d.external) <= TOL
+        # The pure route bounds the Frobenius distance from rho_alpha (x)
+        # rho_beta, the dense route its largest entry; the Frobenius norm lies
+        # between the largest entry and dim times it, so near the tolerance
+        # the verdicts may differ only inside that band.
+        strict = is_product_across(rho, part, tol=1e-9 / rho.dim)
+        assert strict <= entry.product_across <= is_product_across(rho, part)
+        assert araki_lieb_check(rho, part).ok
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.booleans())
+def test_paper_identity_and_bounds_hold_through_sweep(n, seed, split):
+    rng = np.random.default_rng(seed)
+    if split:
+        # A product of two random factors with its qubits shuffled, so that
+        # one cut, not known to the code, is a product cut.
+        k = int(rng.integers(1, n))
+        perm = [int(q) for q in rng.permutation(n)]
+        amps = np.kron(random_pure(rng, k), random_pure(rng, n - k))
+        state = permute_qubits(PureState(n, amps), perm)
+        factor = set(perm[:k])
+    else:
+        state = PureState(n, random_pure(rng, n))
+    report = sweep(state)
+    s_k = report.subsystem_entropies
+    bounds = report.bounds
+    total = report.total_nats
+    assert bounds.araki_lieb_ok is True
+    assert abs(bounds.quantum_upper - sum(s_k)) <= IDENTITY_TOL
+    assert abs(bounds.classical_upper - (sum(s_k) - max(s_k))) <= IDENTITY_TOL
+    # A pure state has S = 0, so its total reaches the quantum bound.
+    assert abs(total - bounds.quantum_upper) <= IDENTITY_TOL
+    assert total <= n * LN2 + IDENTITY_TOL
+    found_factor_cut = False
+    for part, e in zip(enumerate_bipartitions(n), report.entries):
+        a, b = len(part.alpha), len(part.beta)
+        assert abs(e.internal_alpha + e.internal_beta + e.external - total) <= IDENTITY_TOL
+        assert min(e.internal_alpha, e.internal_beta, e.external) >= 0.0
+        assert e.internal_alpha <= sum(s_k[q] for q in part.alpha) + IDENTITY_TOL
+        assert e.internal_beta <= sum(s_k[q] for q in part.beta) + IDENTITY_TOL
+        assert e.external <= 2 * min(a, b) * LN2 + IDENTITY_TOL
+        assert e.region_external is not Region.UNATTAINABLE
+        if e.product_across:
+            assert e.external <= IDENTITY_TOL
+        if split and factor in (set(part.alpha), set(part.beta)):
+            assert e.product_across
+            found_factor_cut = True
+    assert found_factor_cut or not split
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(2, 30).flatmap(
+        lambda n: st.tuples(st.just(n), st.permutations(range(n)), st.integers(1, n - 1))
+    )
+)
+def test_partition_label_round_trips_through_parse(args):
+    n, order, k = args
+    part = Partition(tuple(order[:k]), tuple(order[k:]))
+    label = part.label()
+    assert ("," in label) == (n > 26)
+    assert parse_partition(label, n) == part
