@@ -63,7 +63,6 @@ from .report import (
     parse_partition_list,
     parse_state_spec,
     parse_subset,
-    reduced_operator,
     render_table,
     report_to_dict,
     save_state_file,
@@ -77,6 +76,7 @@ from .states import (
     bell_product,
     ghz,
     ghz_block_product,
+    reduced_operator,
     to_density,
     uniform_entangled,
     validate_density,

@@ -77,43 +77,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_report(report, as_json: bool) -> None:
+    print(json.dumps(report_to_dict(report), indent=2) if as_json else render_table(report))
+
+
+def _state_and_subset(args):
+    state = build_state(parse_state_spec(args.state), args.max_qubits)
+    return state, parse_subset(args.subset, state.n_qubits)
+
+
 def _cmd_analyze(args) -> int:
     spec = parse_state_spec(args.state)
     state = build_state(spec, args.max_qubits)
     parts = []
     for chunk in args.partition:
         parts.extend(parse_partition_list(chunk, state.n_qubits))
-    report = analyze(state, parts, units=args.units)
-    if args.json:
-        print(json.dumps(report_to_dict(report), indent=2))
-    else:
-        print(render_table(report))
+    _print_report(analyze(state, parts, units=args.units), args.json)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     spec = parse_state_spec(args.state)
     report = sweep(spec, size_alpha=args.size_alpha, units=args.units, max_qubits=args.max_qubits)
-    if args.json:
-        print(json.dumps(report_to_dict(report), indent=2))
-    else:
-        print(render_table(report))
+    _print_report(report, args.json)
     return 0
 
 
 def _cmd_entropy(args) -> int:
-    spec = parse_state_spec(args.state)
-    state = build_state(spec, args.max_qubits)
-    subset = parse_subset(args.subset, state.n_qubits)
+    state, subset = _state_and_subset(args)
     s = subset_entropy(state, subset)
     print(f"S({args.subset}) = {_sig12(s)} nats ({_sig12(s / LN2)} bits)")
     return 0
 
 
 def _cmd_purify(args) -> int:
-    spec = parse_state_spec(args.state)
-    state = build_state(spec, args.max_qubits)
-    subset = parse_subset(args.subset, state.n_qubits)
+    state, subset = _state_and_subset(args)
     rho = reduced_operator(state, subset)
     result = purify(rho)
     maximal = is_maximally_correlated_purification(result)

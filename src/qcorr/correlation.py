@@ -190,14 +190,12 @@ def correlation_bounds(subsystem_entropies: Sequence[float]) -> BoundsReport:
     )
 
 
-def classify_region(
-    value: float, max_entropies: Sequence[float], tol: float = REGION_TOL
-) -> Region:
+def classify_region(value: float, max_entropies: Sequence[float]) -> Region:
     """Label a correlation strength against the subsystem entropy caps.
 
     Classical for value <= inf(caps), Quantum up to 2*inf(caps),
-    Unattainable beyond; the lower region is closed, so a value exactly at
-    inf classifies as Classical.
+    Unattainable beyond, each boundary widened by `REGION_TOL`; the lower
+    region is closed, so a value exactly at inf classifies as Classical.
     """
     caps = [float(v) for v in max_entropies]
     if not caps:
@@ -207,9 +205,9 @@ def classify_region(
     if value < 0.0:
         raise ValueError(f"correlation value must be >= 0, got {value}")
     inf_cap = min(caps)
-    if value <= inf_cap + tol:
+    if value <= inf_cap + REGION_TOL:
         return Region.CLASSICAL
-    if value <= 2.0 * inf_cap + tol:
+    if value <= 2.0 * inf_cap + REGION_TOL:
         return Region.QUANTUM
     return Region.UNATTAINABLE
 

@@ -6,6 +6,7 @@ most significant bit of the row/column index (see `qcorr.states`).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,18 +25,19 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray, *, max_entries: int = MAX_KRON_ENTRIES) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two square matrices.
 
     Entry ((i*db + k), (j*db + l)) of the result is a[i, j] * b[k, l].
+    Raises SizeCapError beyond `MAX_KRON_ENTRIES` entries.
     """
     a = _as_square(a)
     b = _as_square(b)
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim * out_dim > max_entries:
+    if out_dim * out_dim > MAX_KRON_ENTRIES:
         raise SizeCapError(
             f"kron result would have {out_dim}^2 entries, above the cap of "
-            f"{max_entries}"
+            f"{MAX_KRON_ENTRIES}"
         )
     return np.kron(a, b)
 
@@ -71,7 +73,10 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     preserved exactly.
     """
     n = state.n_qubits
-    p = [int(x) for x in perm]
+    try:
+        p = [operator.index(x) for x in perm]
+    except TypeError:
+        raise ValueError(f"perm must hold integers, got {perm!r}") from None
     if sorted(p) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm!r}")
     inverse = [0] * n

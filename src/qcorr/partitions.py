@@ -24,7 +24,7 @@ from .correlation import (
 )
 from .errors import PartitionError, PreconditionError
 from .linalg import partial_trace
-from .states import DensityOperator, PureState
+from .states import DensityOperator, PureState, _check_subset
 
 IDENTITY_TOL = 1e-8
 
@@ -37,26 +37,26 @@ class Partition:
     beta: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(int(q) for q in self.alpha)
-        b = tuple(int(q) for q in self.beta)
+        a, b = tuple(self.alpha), tuple(self.beta)
         if not a or not b:
             raise PartitionError("both sides of a partition must be nonempty")
         n = len(a) + len(b)
-        union = sorted(a + b)
-        if union != list(range(n)):
+        try:
+            qubits = _check_subset(a + b, n)
+        except IndexError:
             raise PartitionError(
                 f"sides must be disjoint and cover 0..{n - 1}, got "
                 f"alpha={a}, beta={b}"
-            )
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+            ) from None
+        object.__setattr__(self, "alpha", qubits[: len(a)])
+        object.__setattr__(self, "beta", qubits[len(a) :])
 
     @classmethod
     def complement(cls, alpha: Iterable[int], n_qubits: int) -> "Partition":
         """Build a partition from one side; beta is the sorted complement."""
-        a = tuple(int(q) for q in alpha)
-        b = tuple(q for q in range(n_qubits) if q not in set(a))
-        return cls(a, b)
+        a = tuple(alpha)
+        taken = set(a)
+        return cls(a, tuple(q for q in range(n_qubits) if q not in taken))
 
     @property
     def n_qubits(self) -> int:
@@ -204,11 +204,12 @@ def _product_flag(probs: np.ndarray, tol: float = 1e-9) -> bool:
 def is_product_across(
     state: PureState | DensityOperator, part: Partition, tol: float = 1e-9
 ) -> bool:
-    """True iff rho equals rho_alpha (x) rho_beta within tol.
+    """True iff rho is within Frobenius distance tol of rho_alpha (x) rho_beta.
 
-    A pure state is decided by its Schmidt tail (`_product_flag`), an operator
-    entrywise. This detects exact product form across the cut only; it is
-    not a general separability test.
+    A pure state is decided by its Schmidt tail (`_product_flag`), which
+    gives that distance to first order, an operator by the distance itself,
+    so both routes give one verdict. This detects exact product form across
+    the cut only; it is not a general separability test.
     """
     part.check_size(state.n_qubits)
     if isinstance(state, PureState):
@@ -221,7 +222,7 @@ def is_product_across(
     # axis q and column axis n + q; argsort puts them back in rho's order.
     held = [*a, *(n + q for q in a), *b, *(n + q for q in b)]
     product = np.multiply.outer(rho_a, rho_b).transpose(np.argsort(held))
-    return float(np.max(np.abs(m - product.reshape(m.shape)))) <= tol
+    return float(np.linalg.norm(m - product.reshape(m.shape))) <= tol
 
 
 def tradeoff_delta(d1: Decomposition, d2: Decomposition) -> float:

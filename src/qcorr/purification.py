@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import LN2, total_correlation
-from .states import DensityOperator, PureState, hermitian_spectrum
+from .states import DensityOperator, PureState, _symmetrize, hermitian_spectrum
 
 #: Eigenvalues at or below this threshold are treated as numerical noise.
 RANK_THRESHOLD = 1e-10
@@ -34,24 +34,14 @@ class PurificationResult:
     residual: float
 
 
-def spectral_rank(rho: DensityOperator, threshold: float = RANK_THRESHOLD) -> int:
-    """Number of eigenvalues above `threshold`."""
-    return int(np.count_nonzero(rho.spectrum > threshold))
+def spectral_rank(rho: DensityOperator) -> int:
+    """Number of eigenvalues above `RANK_THRESHOLD`."""
+    return int(np.count_nonzero(rho.spectrum > RANK_THRESHOLD))
 
 
 def min_purifying_qubits(rho: DensityOperator) -> int:
     """ceil(log2 rank): ancilla qubits needed to purify; 0 for pure inputs."""
-    rank = spectral_rank(rho)
-    return max(int(math.ceil(math.log2(rank))), 0) if rank > 1 else 0
-
-
-def _fix_phase(v: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rotate v so its leading nonzero component is real positive."""
-    mags = np.abs(v)
-    cutoff = 1e-12 * float(mags.max())
-    lead = int(np.argmax(mags > cutoff))
-    phase = v[lead] / abs(v[lead])
-    return lead, v / phase
+    return (spectral_rank(rho) - 1).bit_length()
 
 
 def purify(rho: DensityOperator) -> PurificationResult:
@@ -68,24 +58,25 @@ def purify(rho: DensityOperator) -> PurificationResult:
     the 4^(n+k)-entry density operator of the purified state.
     """
     n = rho.n_qubits
-    sym = (rho.matrix + rho.matrix.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(sym)
-    keep = [i for i in range(len(values)) if values[i] > RANK_THRESHOLD]
-    fixed = []
-    for i in keep:
-        lead, v = _fix_phase(vectors[:, i])
-        key = (lead, tuple(zip(np.round(v.real, 12), np.round(v.imag, 12))))
-        fixed.append((float(values[i]), key, v))
-    fixed.sort(key=lambda t: (-t[0], t[1]))
+    values, vectors = np.linalg.eigh(_symmetrize(rho.matrix))
+    kept = values > RANK_THRESHOLD
+    values, vectors = values[kept], vectors[:, kept]
+    mags = np.abs(vectors)
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    pivot = vectors[lead, np.arange(len(values))]
+    vectors = vectors / (pivot / np.abs(pivot))
+    # Rows re_0, im_0, re_1, im_1, ... reversed, as np.lexsort's last key is
+    # its primary one: the order is -value, then lead, then the entries.
+    entries = np.stack([np.round(vectors.real, 12), np.round(vectors.imag, 12)], axis=1)
+    order = np.lexsort([*entries.reshape(-1, len(values))[::-1], lead, -values])
+    values, vectors = values[order], vectors[:, order]
 
-    rank = len(fixed)
-    k = max(int(math.ceil(math.log2(rank))), 0) if rank > 1 else 0
-    anc_dim = 1 << k
-    table = np.zeros((1 << n, anc_dim), dtype=np.complex128)
-    for i, (lam, _, v) in enumerate(fixed):
-        table[:, i] = math.sqrt(lam) * v
-    weight = sum(lam for lam, _, _ in fixed)
-    table /= math.sqrt(weight)
+    rank = len(values)
+    k = (rank - 1).bit_length()  # ceil(log2 rank)
+    table = np.zeros((1 << n, 1 << k), dtype=np.complex128)
+    table[:, :rank] = vectors * np.sqrt(values)
+    # Summed left to right: np.sum's pairwise order would move the last bits.
+    table /= math.sqrt(sum(values.tolist()))
     purified = PureState(n + k, table.reshape(-1))
 
     diff = table @ table.conj().T - rho.matrix

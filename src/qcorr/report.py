@@ -32,13 +32,14 @@ from .errors import NotNormalizedError, SpecParseError, StateFileError
 from .partitions import Partition, decompose, enumerate_bipartitions, is_product_across
 from .states import (
     NORM_TOL,
-    DensityOperator,
     PureState,
-    _amplitude_matrix,
     _check_cap,
+    _check_subset,
     bell_product,
     ghz,
     ghz_block_product,
+    # Re-exported for the CLI; bench/tracing.py also times it under this module.
+    reduced_operator,
     uniform_entangled,
 )
 
@@ -198,7 +199,7 @@ def _parse_side(text: str, offset: int) -> tuple[int, ...]:
         pos = offset
         for token in text.split(","):
             token = token.strip()
-            if token in letters:
+            if len(token) == 1 and token in letters:
                 qubits.append(letters.index(token))
             else:
                 try:
@@ -265,20 +266,21 @@ def parse_partition_list(text: str, n_qubits: int) -> list[Partition]:
 
 def parse_subset(text: str, n_qubits: int) -> tuple[int, ...]:
     """Parse a qubit subset like 'ab' or '0,2'; must be nonempty and in range."""
-    qubits = _parse_side(text.strip(), 0)
-    seen = set()
-    for q in qubits:
-        if q < 0 or q >= n_qubits:
-            raise SpecParseError(f"qubit {q} out of range for {n_qubits} qubits", 0)
-        if q in seen:
-            raise SpecParseError(f"qubit {q} repeated in subset", 0)
-        seen.add(q)
-    return qubits
+    try:
+        return _check_subset(_parse_side(text.strip(), 0), n_qubits)
+    except IndexError as e:
+        raise SpecParseError(str(e), 0) from None
+
+
+def _resolve_state(spec: StateSpec | PureState, max_qubits: int | None) -> PureState:
+    return spec if isinstance(spec, PureState) else build_state(spec, max_qubits)
 
 
 def _analyze_pure(
     state: PureState, parts: Sequence[Partition], units: str
 ) -> CorrelationReport:
+    if units not in ("nats", "bits"):
+        raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
     # The state memoises its Schmidt cuts: the calls below make one SVD per cut.
     s_k = subsystem_entropies(state)
     entries = []
@@ -315,15 +317,14 @@ def analyze(
     units: str = "nats",
     max_qubits: int | None = None,
 ) -> CorrelationReport:
-    """Correlation report for explicit partitions (or "all") of one state."""
-    if units not in ("nats", "bits"):
-        raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
-    state = spec if isinstance(spec, PureState) else build_state(spec, max_qubits)
+    """Correlation report for explicit partitions of one state.
+
+    `partitions` is a list of `Partition`s or text for `parse_partition_list`;
+    `sweep` covers every bipartition.
+    """
+    state = _resolve_state(spec, max_qubits)
     if isinstance(partitions, str):
-        if partitions.strip() == "all":
-            parts = enumerate_bipartitions(state.n_qubits)
-        else:
-            parts = parse_partition_list(partitions, state.n_qubits)
+        parts = parse_partition_list(partitions, state.n_qubits)
     else:
         parts = list(partitions)
     if not parts:
@@ -338,9 +339,7 @@ def sweep(
     max_qubits: int | None = None,
 ) -> CorrelationReport:
     """Correlation report covering every canonical bipartition."""
-    if units not in ("nats", "bits"):
-        raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
-    state = spec if isinstance(spec, PureState) else build_state(spec, max_qubits)
+    state = _resolve_state(spec, max_qubits)
     parts = enumerate_bipartitions(state.n_qubits, size_alpha)
     return _analyze_pure(state, parts, units)
 
@@ -349,22 +348,10 @@ def subset_entropy(
     spec: StateSpec | PureState, subset: Sequence[int] | str, max_qubits: int | None = None
 ) -> float:
     """Entropy (nats) of the reduction onto a qubit subset."""
-    state = spec if isinstance(spec, PureState) else build_state(spec, max_qubits)
-    qubits = (
-        parse_subset(subset, state.n_qubits) if isinstance(subset, str) else tuple(subset)
-    )
-    return von_neumann_entropy(state, qubits)
-
-
-def reduced_operator(state: PureState, subset: Sequence[int]) -> DensityOperator:
-    """Reduction of a pure state onto the given qubits (in subset order).
-
-    With M the amplitude matrix whose rows are indexed by `subset`, the
-    reduction is the Gram matrix M M^dagger of dimension 2^|subset|; the
-    2^n x 2^n density operator of the state is never built.
-    """
-    mat = _amplitude_matrix(state.amplitudes, state.n_qubits, subset)
-    return DensityOperator(len(subset), mat @ mat.conj().T)
+    state = _resolve_state(spec, max_qubits)
+    if isinstance(subset, str):
+        subset = parse_subset(subset, state.n_qubits)
+    return von_neumann_entropy(state, subset)
 
 
 def _sig12(x: float) -> float:

@@ -8,6 +8,7 @@ qubit 0 and the most significant bit of the amplitude index, so |0110> on
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -115,13 +116,15 @@ class DensityOperator:
         return values
 
 
-def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of (m + m^dagger)/2, ascending.
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger)/2, absorbing the rounding that leaves a computed
+    Hermitian matrix slightly off Hermitian."""
+    return (m + m.conj().T) / 2.0
 
-    Symmetrizing absorbs the rounding that leaves a computed Hermitian
-    matrix slightly off Hermitian.
-    """
-    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+
+def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of (m + m^dagger)/2, ascending."""
+    return np.linalg.eigvalsh(_symmetrize(m))
 
 
 def _check_cap(n_qubits: int, max_qubits: int | None) -> None:
@@ -182,8 +185,12 @@ def ghz_block_product(n_per_block: int, *, max_qubits: int | None = None) -> Pur
 
 
 def _check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    """`subset` as a tuple, checked to hold distinct qubits in 0..n-1."""
-    kept = tuple(int(q) for q in subset)
+    """`subset` as a tuple, checked to hold distinct integer qubits in 0..n-1."""
+    given = tuple(subset)
+    try:
+        kept = tuple(map(operator.index, given))
+    except TypeError:
+        raise IndexError(f"subset {given} must hold integer qubits") from None
     if len(set(kept)) != len(kept) or not all(0 <= q < n for q in kept):
         raise IndexError(f"subset {kept} must hold distinct qubits in 0..{n - 1}")
     return kept
@@ -201,6 +208,17 @@ def _amplitude_matrix(amps: np.ndarray, n: int, rows: Sequence[int]) -> np.ndarr
     return amps.reshape((2,) * n).transpose([*rows, *rest]).reshape(
         1 << len(rows), 1 << len(rest)
     )
+
+
+def reduced_operator(state: PureState, subset: Sequence[int]) -> DensityOperator:
+    """Reduction of a pure state onto the given qubits (in subset order).
+
+    With M the amplitude matrix whose rows are indexed by `subset`, the
+    reduction is the Gram matrix M M^dagger of dimension 2^|subset|; the
+    2^n x 2^n density operator of the state is never built.
+    """
+    mat = _amplitude_matrix(state.amplitudes, state.n_qubits, subset)
+    return DensityOperator(len(subset), mat @ mat.conj().T)
 
 
 def to_density(s: PureState) -> DensityOperator:

@@ -164,3 +164,10 @@ def test_bool_state_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "entropy", "--state", f"file:{path}", "--subset", "a")
     assert code == 2
     assert "n_qubits" in err
+
+
+def test_multi_letter_subset_token_exits_2(capsys):
+    code, out, err = run(capsys, "entropy", "--state", "ghz:4", "--subset", "bc,d")
+    assert code == 2
+    assert out == ""
+    assert "bad qubit token 'bc'" in err

@@ -129,3 +129,10 @@ def test_each_operator_is_diagonalised_once(monkeypatch):
     total_correlation(rho)
     spectral_rank(rho)
     assert len(full_dim) == 1
+
+
+def test_non_integer_qubits_are_rejected_not_truncated():
+    s = ghz(3)
+    for state in (s, to_density(s)):
+        with pytest.raises(IndexError, match=re.escape("(0.5,)")):
+            von_neumann_entropy(state, (0.5,))

@@ -151,3 +151,8 @@ def test_permute_rejects_malformed():
         permute_qubits(s, (0, 1, 1))
     with pytest.raises(ValueError):
         permute_qubits(s, (0, 1))
+
+
+def test_permute_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integers"):
+        permute_qubits(ghz(3), (0.5, 1, 2))

@@ -277,3 +277,12 @@ def test_label_falls_back_to_index_syntax_past_26_qubits():
         "abcdefghijklm|nopqrstuvwxyz"
     )
     assert Partition((25,), range(25)).label() == "z|abcdefghijklmnopqrstuvwxy"
+
+
+def test_partition_rejects_non_integer_qubits():
+    with pytest.raises(PartitionError):
+        Partition((0.5,), (1,))
+    with pytest.raises(PartitionError):
+        Partition((0,), (1.0,))
+    with pytest.raises(PartitionError):
+        Partition.complement((1.5,), 3)

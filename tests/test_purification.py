@@ -3,10 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from qcorr import (
     DensityOperator,
     Partition,
+    bell_product,
     decompose,
     ghz,
     is_maximally_correlated_purification,
@@ -20,7 +22,7 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from helpers import random_density, tilted_four_qubit
+from helpers import random_density, reference_purification_table, tilted_four_qubit
 from qcorr import PureState
 
 LN2 = math.log(2)
@@ -141,3 +143,51 @@ def test_maximally_correlated_flags():
     red = reduced_operator(tilted, (0, 1))
     assert min_purifying_qubits(red) == 1
     assert not is_maximally_correlated_purification(purify(red))
+
+
+def _random_of_rank(seed: int, n: int, rank: int) -> DensityOperator:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((1 << n, rank)) + 1j * rng.standard_normal((1 << n, rank))
+    m = g @ g.conj().T
+    return validate_density(m / np.trace(m).real, n)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: validate_density(np.eye(8) / 8, 3),
+        lambda: reduced_operator(ghz(6), (0, 3)),
+        lambda: reduced_operator(bell_product(4), (0, 2, 4)),
+        lambda: _random_of_rank(101, 2, 2),
+        lambda: _random_of_rank(102, 3, 5),
+        lambda: _random_of_rank(103, 5, 32),
+        lambda: _random_of_rank(104, 7, 100),
+        lambda: _random_of_rank(105, 8, 256),
+        lambda: _random_of_rank(106, 9, 3),
+        lambda: _random_of_rank(107, 10, 1024),
+    ],
+    ids=[
+        "eye8", "ghz6-tie", "bellpairs4", "n2r2", "n3r5", "n5full", "n7r100",
+        "n8full", "n9r3", "n10full",
+    ],
+)
+def test_purify_matches_the_per_vector_sort_bit_for_bit(make):
+    rho = make()
+    got = purify(rho).purified.amplitudes
+    assert got.tobytes() == reference_purification_table(rho.matrix).tobytes()
+
+
+def test_purify_breaks_full_ties_by_the_entries_as_the_reference_does(monkeypatch):
+    # Four equal eigenvalues of unit eigenvectors whose leading entries have
+    # assorted phases. Three have leading magnitude 0.5, so only their other
+    # (re, im) entries can order them; the fourth, 1e-6, must still count
+    # as leading. eigh rarely returns such exact ties, so it is made to.
+    top = np.array([0.5j, -0.5, 0.5 * np.exp(1j), 1e-6j])
+    rng = np.random.default_rng(102)
+    rest = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    rest *= np.sqrt(1 - np.abs(top) ** 2) / np.linalg.norm(rest, axis=0)
+    vectors = np.vstack([top, rest])
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.full(4, 0.25), vectors))
+    rho = validate_density(np.eye(4) / 4, 2)
+    got = purify(rho).purified.amplitudes
+    assert got.tobytes() == reference_purification_table(rho.matrix).tobytes()

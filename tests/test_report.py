@@ -272,7 +272,7 @@ def test_analyze_rejects_bad_units():
         analyze(parse_state_spec("ghz:4"), "ab|cd", units="trits")
 
 def test_analyze_all_partitions_token():
-    report = analyze(parse_state_spec("ghz:4"), "all")
+    report = sweep(parse_state_spec("ghz:4"))
     assert len(report.entries) == 7
     assert {e.partition for e in report.entries} == {
         p.label() for p in enumerate_bipartitions(4)
@@ -298,3 +298,23 @@ def test_zero_entropies_and_correlations_are_positive_zero():
     report = analyze(ghz(2), "a|b")
     assert math.copysign(1.0, report.entries[0].internal_alpha) == 1.0
     assert math.copysign(1.0, report.entries[0].internal_beta) == 1.0
+
+
+@pytest.mark.parametrize("text", ["b,", ",b", "a,,c", "bc,d", "ab,1"])
+def test_parse_subset_rejects_multi_letter_and_empty_tokens(text):
+    with pytest.raises(SpecParseError, match="bad qubit token"):
+        parse_subset(text, 4)
+
+
+def test_parse_subset_errors_name_the_subset():
+    with pytest.raises(SpecParseError, match=r"\(0, 0\)"):
+        parse_subset("aa", 4)
+    with pytest.raises(SpecParseError, match=r"\(9,\)"):
+        parse_subset("9", 4)
+
+
+def test_parse_partition_rejects_multi_letter_and_empty_tokens():
+    assert parse_partition("c,b|a", 3) == parse_partition("cb|a", 3)
+    for text in ["cd,b|a", "c,b|a,", "a|bc,d"]:
+        with pytest.raises(SpecParseError, match="bad qubit token"):
+            parse_partition(text, 3)
