@@ -38,8 +38,10 @@ from .linalg import (
 )
 from .partitions import (
     Decomposition,
+    DecompositionRows,
     Partition,
     decompose,
+    decompose_rows,
     enumerate_bipartitions,
     is_product_across,
     pure_state_decomposition_identities,

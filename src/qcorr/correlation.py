@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .linalg import partial_trace
 from .states import (
     DensityOperator,
     PureState,
-    _amplitude_matrix,
+    _amplitude_matrices,
     _check_subset,
     hermitian_spectrum,
 )
@@ -34,6 +34,17 @@ ENTROPY_EIG_FLOOR = 1e-15
 
 #: Tolerance used when assigning region labels at the boundaries.
 REGION_TOL = 1e-9
+
+#: The most amplitudes `_schmidt_cuts` stacks for one batched solve: 2^16
+#: complex values, 1 MiB.
+MAX_STACK_AMPLITUDES = 1 << 16
+
+#: A Gram spectrum whose tail, all but its largest eigenvalue, sums below this
+#: is solved again by SVD. Forming M M^dagger squares the condition number, so
+#: the Gram tail of an exact product is rounding noise of either sign, about
+#: 4e-16 (Golub & Van Loan, Matrix Computations), where the product flag
+#: (`partitions._product_flag`) needs a tail below 5e-19.
+GRAM_TAIL_FLOOR = 1e-12
 
 
 class Region(str, Enum):
@@ -70,58 +81,106 @@ class ArakiLiebResult(NamedTuple):
     upper_slack: float
 
 
-def clamp_nonneg(x: float) -> float:
-    """max(x, 0) as +0.0 where x is 0, -0.0 or slightly negative.
+def clamp_nonneg(x):
+    """max(x, 0), elementwise for an array, as +0.0 where x is 0, -0.0 or
+    slightly negative.
 
-    Adding +0.0 turns a -0.0 that max() passes through into +0.0, so a
-    clamped value never prints as "-0.0"; NaN still propagates.
+    Adding +0.0 turns a -0.0 that a plain maximum passes through into +0.0,
+    so a clamped value never prints as "-0.0"; NaN still propagates.
     """
-    return max(x, 0.0) + 0.0
+    return np.maximum(x, 0.0) + 0.0
+
+
+def _entropies(probs: np.ndarray) -> np.ndarray:
+    """-sum p ln p along the last axis over entries above the floor, >= 0."""
+    p = np.asarray(probs, dtype=np.float64)
+    p = np.where(p > ENTROPY_EIG_FLOOR, p, 1.0)  # 1 ln 1 = 0
+    return clamp_nonneg(-np.sum(p * np.log(p), axis=-1))
 
 
 def entropy_from_probs(p: np.ndarray) -> float:
     """-sum p ln p over entries above the floor, clamped to >= 0."""
-    p = np.asarray(p, dtype=np.float64)
-    p = p[p > ENTROPY_EIG_FLOOR]
-    if p.size == 0:
-        return 0.0
-    return clamp_nonneg(float(-np.sum(p * np.log(p))))
+    return float(_entropies(p))
 
 
-def _schmidt_probs(amps: np.ndarray, n: int, alpha: Sequence[int]) -> np.ndarray:
-    """Squared singular values of the amplitude matrix for the given cut.
+def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.ndarray:
+    """Schmidt probabilities, descending, of the cuts whose smaller sides,
+    all of one size k, are `sides`; one row per side.
 
-    These are the shared eigenvalues of both reduced operators of a pure
-    state, so one SVD yields S(alpha) and S(beta) at once. They come in
-    descending order.
+    The amplitude matrices are stacked at most `MAX_STACK_AMPLITUDES` at a
+    time. Below the half cut (2k < n) each stack goes through its Gram
+    matrices M M^dagger, of dimension 2^k, and one `eigvalsh`; a cut whose
+    tail (all but the largest eigenvalue) sums below `GRAM_TAIL_FLOOR` is
+    solved again by SVD. At the half cut a Gram matrix is no smaller than M,
+    so each stack goes to one SVD.
     """
-    sv = np.linalg.svd(_amplitude_matrix(amps, n, alpha), compute_uv=False)
-    return sv * sv
+    k = len(sides[0])
+    per_stack = max(1, MAX_STACK_AMPLITUDES >> n)
+    out = []
+    for start in range(0, len(sides), per_stack):
+        mats = _amplitude_matrices(amps, n, sides[start : start + per_stack])
+        if 2 * k == n:
+            sv = np.linalg.svd(mats, compute_uv=False)
+            out.append(sv * sv)
+            continue
+        gram = mats @ mats.conj().transpose(0, 2, 1)
+        values = np.linalg.eigvalsh(gram)[:, ::-1]
+        redo = np.sum(values[:, 1:], axis=1) < GRAM_TAIL_FLOOR
+        probs = clamp_nonneg(values)
+        if redo.any():
+            sv = np.linalg.svd(mats[redo], compute_uv=False)
+            probs[redo] = sv * sv
+        out.append(probs)
+    return np.concatenate(out)
+
+
+def _schmidt_cuts(
+    state: PureState, subsets: Iterable[Sequence[int]]
+) -> list[tuple[np.ndarray, float]]:
+    """(Schmidt probabilities, entropy) of the cut between each subset and the rest.
+
+    Every cut is memoised on the state under the qubit set of each side, as
+    both sides of a pure state share their spectrum. A hit needs the set to
+    be as long as its subset, so (0, 0) misses; a miss validates its subset,
+    and every subset is validated before any cut is computed. A side of a cut
+    already queued in this call counts as a hit. The cuts still
+    missing are keyed by their smaller side and solved together, one size of
+    that side at a time (`_level_probs`). The whole register, or none of it,
+    has the one probability |psi|^2. Probabilities are read-only and
+    descending; no memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
+    """
+    n, amps, memo = state.n_qubits, state.amplitudes, state._cuts
+    register = frozenset(range(n))
+    keys = []
+    # Each side of a queued cut -> (its smaller side, sorted; both sides).
+    queued: dict[frozenset, tuple[tuple[int, ...], frozenset, frozenset]] = {}
+    for subset in subsets:
+        subset = tuple(subset)
+        key = frozenset(subset)
+        if len(key) != len(subset) or (key not in memo and key not in queued):
+            key = frozenset(_check_subset(subset, n))
+            if key not in memo and key not in queued:
+                rest = register - key
+                small = min(sorted(key), sorted(rest), key=lambda s: (len(s), s))
+                queued[key] = queued[rest] = (tuple(small), key, rest)
+        keys.append(key)
+    levels: dict[int, dict[tuple[int, ...], tuple[frozenset, frozenset]]] = {}
+    for small, key, rest in queued.values():
+        levels.setdefault(len(small), {})[small] = (key, rest)
+    for k, cuts in levels.items():
+        if k == 0:
+            probs = np.array([[float(np.vdot(amps, amps).real)]])
+        else:
+            probs = _level_probs(amps, n, list(cuts))
+        probs.setflags(write=False)
+        for (key, rest), p, s in zip(cuts.values(), probs, _entropies(probs).tolist()):
+            memo[key] = memo[rest] = (p, s)
+    return [memo[key] for key in keys]
 
 
 def _schmidt_cut(state: PureState, subset: Sequence[int]) -> tuple[np.ndarray, float]:
-    """(Schmidt probabilities, entropy) of the cut between `subset` and the rest.
-
-    Memoised on the state under the qubit set of each side, as both sides of
-    a pure state share their spectrum. A hit needs the set to be as long as
-    `subset`, so (0, 0) misses; a miss validates `subset`.
-    """
-    subset = tuple(subset)
-    key = frozenset(subset)
-    cut = state._cuts.get(key)
-    if cut is not None and len(key) == len(subset):
-        return cut
-    n, amps = state.n_qubits, state.amplitudes
-    rows = _check_subset(subset, n)
-    if 0 < len(rows) < n:
-        probs = _schmidt_probs(amps, n, rows)
-    else:  # the whole register or none of it: one probability, |psi|^2
-        probs = np.array([float(np.vdot(amps, amps).real)])
-    probs.setflags(write=False)
-    cut = (probs, entropy_from_probs(probs))
-    side = frozenset(rows)
-    state._cuts[side] = state._cuts[frozenset(range(n)) - side] = cut
-    return cut
+    """`_schmidt_cuts` of one subset."""
+    return _schmidt_cuts(state, [subset])[0]
 
 
 def von_neumann_entropy(
@@ -148,14 +207,23 @@ def von_neumann_entropy(
     return entropy_from_probs(state.spectrum)
 
 
+def _subset_entropies(
+    state: PureState | DensityOperator, subsets: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """`von_neumann_entropy` of each subset; a pure state's in one engine call."""
+    if isinstance(state, PureState):
+        return np.array([cut[1] for cut in _schmidt_cuts(state, subsets)])
+    return np.array([von_neumann_entropy(state, subset) for subset in subsets])
+
+
 def subsystem_entropies(state: PureState | DensityOperator) -> list[float]:
     """Entropy of each single-qubit reduction, in qubit order."""
-    return [von_neumann_entropy(state, (k,)) for k in range(state.n_qubits)]
+    return _subset_entropies(state, [(k,) for k in range(state.n_qubits)]).tolist()
 
 
 def total_correlation(state: PureState | DensityOperator) -> float:
     """Sum of single-qubit entropies minus the total entropy, clamped to >= 0."""
-    return clamp_nonneg(sum(subsystem_entropies(state)) - von_neumann_entropy(state))
+    return float(clamp_nonneg(sum(subsystem_entropies(state)) - von_neumann_entropy(state)))
 
 
 def index_of_correlation(state: PureState | DensityOperator, part: "Partition") -> float:
@@ -163,7 +231,7 @@ def index_of_correlation(state: PureState | DensityOperator, part: "Partition") 
     part.check_size(state.n_qubits)
     s_a = von_neumann_entropy(state, part.alpha)
     s_b = von_neumann_entropy(state, part.beta)
-    return clamp_nonneg(s_a + s_b - von_neumann_entropy(state))
+    return float(clamp_nonneg(s_a + s_b - von_neumann_entropy(state)))
 
 
 def max_total_correlation(n_qubits: int) -> float:
@@ -218,11 +286,11 @@ def araki_lieb_check(
     """Check |S_A - S_B| <= S <= S_A + S_B for the given bipartition.
 
     Returns the slack of each inequality; `ok` means both are >= -1e-9.
+    This is the one-row case of `partitions.decompose_rows`.
     """
-    part.check_size(state.n_qubits)
-    s_a = von_neumann_entropy(state, part.alpha)
-    s_b = von_neumann_entropy(state, part.beta)
-    s = von_neumann_entropy(state)
-    lower = s - abs(s_a - s_b)
-    upper = s_a + s_b - s
-    return ArakiLiebResult(lower >= -1e-9 and upper >= -1e-9, lower, upper)
+    from .partitions import decompose_rows  # partitions imports this module
+
+    rows = decompose_rows(state, [part])
+    return ArakiLiebResult(
+        bool(rows.araki_lieb_ok[0]), float(rows.lower_slack[0]), float(rows.upper_slack[0])
+    )

@@ -11,13 +11,14 @@ import math
 import string
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .correlation import (
     LN2,
     _schmidt_cut,
+    _subset_entropies,
     clamp_nonneg,
     subsystem_entropies,
     von_neumann_entropy,
@@ -94,34 +95,92 @@ class Decomposition:
     total: float
 
 
+@dataclass(frozen=True)
+class DecompositionRows:
+    """`decompose` and the Araki-Lieb slacks of many partitions, one array
+    entry per partition, in the order given."""
+
+    internal_alpha: np.ndarray
+    internal_beta: np.ndarray
+    external: np.ndarray
+    total: np.ndarray
+    lower_slack: np.ndarray
+    upper_slack: np.ndarray
+
+    @property
+    def araki_lieb_ok(self) -> np.ndarray:
+        """Each row's Araki-Lieb check: both slacks >= -1e-9."""
+        return (self.lower_slack >= -1e-9) & (self.upper_slack >= -1e-9)
+
+
+def _side_sums(values: np.ndarray, sides: list[tuple[int, ...]]) -> np.ndarray:
+    """sum(values[q] for q in side) for each side, added in the side's order."""
+    padded = np.append(values, 0.0)
+    index = np.full((len(sides), max(map(len, sides), default=0)), len(values))
+    for row, side in zip(index, sides):
+        row[: len(side)] = side
+    sums = np.zeros(len(sides))
+    for column in index.T:
+        sums += padded[column]
+    return sums
+
+
+def decompose_rows(
+    state: PureState | DensityOperator, parts: Sequence[Partition]
+) -> DecompositionRows:
+    """`decompose` of each partition, with its Araki-Lieb slacks, as arrays.
+
+    The entropies come from one table: the single-qubit entropies, S(alpha)
+    and S(beta) of every partition and S of the whole state, a pure state's
+    from one `_schmidt_cuts` call. Per row, internal = the side's
+    single-qubit entropies minus its entropy, external = S(alpha) + S(beta)
+    - S, and the slacks are S - |S(alpha) - S(beta)| and S(alpha) + S(beta)
+    - S. Raises PartitionError if a partition does not cover the state and
+    ArithmeticError if a row's parts miss its total by more than
+    `IDENTITY_TOL`.
+    """
+    n, m = state.n_qubits, len(parts)
+    for part in parts:
+        part.check_size(n)
+    alphas = [part.alpha for part in parts]
+    betas = [part.beta for part in parts]
+    singles = [(q,) for q in range(n)]
+    s = _subset_entropies(state, [*singles, *alphas, *betas, range(n)])
+    s_k, s_alpha, s_beta, s_total = s[:n], s[n : n + m], s[n + m : n + 2 * m], s[-1]
+    s_k_alpha = _side_sums(s_k, alphas)
+    s_k_beta = _side_sums(s_k, betas)
+    internal_alpha = clamp_nonneg(s_k_alpha - s_alpha)
+    internal_beta = clamp_nonneg(s_k_beta - s_beta)
+    external = clamp_nonneg(s_alpha + s_beta - s_total)
+    total = clamp_nonneg(s_k_alpha + s_k_beta - s_total)
+    missed = np.abs(internal_alpha + internal_beta + external - total) > IDENTITY_TOL
+    if missed.any():
+        i = int(np.argmax(missed))
+        raise ArithmeticError(
+            "internal/external decomposition failed to reproduce the total "
+            f"correlation across {parts[i].label()}: {internal_alpha[i]} + "
+            f"{internal_beta[i]} + {external[i]} vs {total[i]}"
+        )
+    lower = s_total - np.abs(s_alpha - s_beta)
+    upper = s_alpha + s_beta - s_total
+    return DecompositionRows(internal_alpha, internal_beta, external, total, lower, upper)
+
+
 def decompose(state: PureState | DensityOperator, part: Partition) -> Decomposition:
     """Internal correlation of each side plus the external correlation.
 
     internal = total correlation of the side's reduced operator;
     external = index of correlation across the cut. Their sum reproduces
-    the total correlation within 1e-8.
-
-    Each entropy is computed once: the single-qubit entropies, S(alpha),
-    S(beta) and S of the whole state.
+    the total correlation within 1e-8. This is the one-row case of
+    `decompose_rows`.
     """
-    part.check_size(state.n_qubits)
-    s_k = subsystem_entropies(state)
-    s_k_alpha = sum(s_k[q] for q in part.alpha)
-    s_k_beta = sum(s_k[q] for q in part.beta)
-    s_alpha = von_neumann_entropy(state, part.alpha)
-    s_beta = von_neumann_entropy(state, part.beta)
-    s_total = von_neumann_entropy(state)
-    internal_alpha = clamp_nonneg(s_k_alpha - s_alpha)
-    internal_beta = clamp_nonneg(s_k_beta - s_beta)
-    external = clamp_nonneg(s_alpha + s_beta - s_total)
-    total = clamp_nonneg(s_k_alpha + s_k_beta - s_total)
-    if abs(internal_alpha + internal_beta + external - total) > IDENTITY_TOL:
-        raise ArithmeticError(
-            "internal/external decomposition failed to reproduce the total "
-            f"correlation: {internal_alpha} + {internal_beta} + {external} "
-            f"vs {total}"
-        )
-    return Decomposition(internal_alpha, internal_beta, external, total)
+    rows = decompose_rows(state, [part])
+    return Decomposition(
+        float(rows.internal_alpha[0]),
+        float(rows.internal_beta[0]),
+        float(rows.external[0]),
+        float(rows.total[0]),
+    )
 
 
 def pure_state_decomposition_identities(s: PureState, part: Partition) -> Decomposition:
@@ -196,8 +255,8 @@ def _product_flag(probs: np.ndarray, tol: float = 1e-9) -> bool:
     sqrt(2 tail) to first order in tail. The tail is summed directly rather
     than as 1 - p[0], which would cancel.
     """
-    p = probs / float(np.sum(probs))
-    tail = float(np.sum(p[1:]))
+    p = probs / float(probs.sum())
+    tail = float(p[1:].sum())
     return math.sqrt(2.0 * tail) <= tol
 
 

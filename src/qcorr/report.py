@@ -21,7 +21,6 @@ from .correlation import (
     LN2,
     BoundsReport,
     Region,
-    araki_lieb_check,
     classify_region,
     correlation_bounds,
     subsystem_entropies,
@@ -29,7 +28,12 @@ from .correlation import (
     von_neumann_entropy,
 )
 from .errors import NotNormalizedError, SpecParseError, StateFileError
-from .partitions import Partition, decompose, enumerate_bipartitions, is_product_across
+from .partitions import (
+    Partition,
+    decompose_rows,
+    enumerate_bipartitions,
+    is_product_across,
+)
 from .states import (
     NORM_TOL,
     PureState,
@@ -191,31 +195,33 @@ def save_state_file(state: PureState, path: str) -> None:
 
 
 def _parse_side(text: str, offset: int) -> tuple[int, ...]:
+    """Qubits of one partition side or subset; `offset` is where `text`
+    starts in the user's input, so errors point into that input."""
     letters = string.ascii_lowercase
-    if not text:
+    side = text.strip()
+    if not side:
         raise SpecParseError("empty partition side", offset)
-    if "," in text:
+    if "," in side:
         qubits = []
-        pos = offset
-        for token in text.split(","):
-            token = token.strip()
+        pos = offset + len(text) - len(text.lstrip())
+        for raw in side.split(","):
+            token = raw.strip()
             if len(token) == 1 and token in letters:
                 qubits.append(letters.index(token))
             else:
                 try:
                     qubits.append(int(token))
                 except ValueError:
-                    raise SpecParseError(
-                        f"bad qubit token {token!r}", pos
-                    ) from None
-            pos += len(token) + 1
+                    at = pos + len(raw) - len(raw.lstrip())
+                    raise SpecParseError(f"bad qubit token {token!r}", at) from None
+            pos += len(raw) + 1
         return tuple(qubits)
-    if all(ch in letters for ch in text):
-        return tuple(letters.index(ch) for ch in text)
+    if all(ch in letters for ch in side):
+        return tuple(letters.index(ch) for ch in side)
     try:
-        return (int(text),)
+        return (int(side),)
     except ValueError:
-        raise SpecParseError(f"bad partition side {text!r}", offset) from None
+        raise SpecParseError(f"bad partition side {side!r}", offset) from None
 
 
 def parse_partition(text: str, n_qubits: int) -> Partition:
@@ -230,8 +236,8 @@ def parse_partition(text: str, n_qubits: int) -> Partition:
             text.find("|") if "|" in text else len(text),
         )
     left, right = text.split("|")
-    alpha = _parse_side(left.strip(), 0)
-    beta = _parse_side(right.strip(), len(left) + 1)
+    alpha = _parse_side(left, 0)
+    beta = _parse_side(right, len(left) + 1)
     part = Partition(alpha, beta)
     if part.n_qubits != n_qubits:
         raise SpecParseError(
@@ -267,7 +273,7 @@ def parse_partition_list(text: str, n_qubits: int) -> list[Partition]:
 def parse_subset(text: str, n_qubits: int) -> tuple[int, ...]:
     """Parse a qubit subset like 'ab' or '0,2'; must be nonempty and in range."""
     try:
-        return _check_subset(_parse_side(text.strip(), 0), n_qubits)
+        return _check_subset(_parse_side(text, 0), n_qubits)
     except IndexError as e:
         raise SpecParseError(str(e), 0) from None
 
@@ -281,23 +287,24 @@ def _analyze_pure(
 ) -> CorrelationReport:
     if units not in ("nats", "bits"):
         raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
-    # The state memoises its Schmidt cuts: the calls below make one SVD per cut.
+    # One engine pass fills the state's memo with every cut; the per-row
+    # product flags and the totals below read it.
+    rows = decompose_rows(state, parts)
     s_k = subsystem_entropies(state)
     entries = []
-    araki_lieb_ok = True
-    for part in parts:
-        d = decompose(state, part)
-        araki_lieb_ok = araki_lieb_check(state, part).ok and araki_lieb_ok
+    for part, ia, ib, ext in zip(
+        parts, rows.internal_alpha.tolist(), rows.internal_beta.tolist(), rows.external.tolist()
+    ):
         a, b = len(part.alpha), len(part.beta)
         entries.append(
             PartitionAnalysis(
                 partition=part.label(),
-                internal_alpha=d.internal_alpha,
-                internal_beta=d.internal_beta,
-                external=d.external,
-                region_internal_alpha=classify_region(d.internal_alpha, [LN2] * a),
-                region_internal_beta=classify_region(d.internal_beta, [LN2] * b),
-                region_external=classify_region(d.external, [a * LN2, b * LN2]),
+                internal_alpha=ia,
+                internal_beta=ib,
+                external=ext,
+                region_internal_alpha=classify_region(ia, [LN2] * a),
+                region_internal_beta=classify_region(ib, [LN2] * b),
+                region_external=classify_region(ext, [a * LN2, b * LN2]),
                 product_across=is_product_across(state, part),
             )
         )
@@ -306,7 +313,7 @@ def _analyze_pure(
         units=units,
         total_nats=total_correlation(state),
         subsystem_entropies=tuple(s_k),
-        bounds=replace(correlation_bounds(s_k), araki_lieb_ok=araki_lieb_ok),
+        bounds=replace(correlation_bounds(s_k), araki_lieb_ok=bool(rows.araki_lieb_ok.all())),
         entries=tuple(entries),
     )
 

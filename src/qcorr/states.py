@@ -40,7 +40,7 @@ class PureState:
     """Normalized amplitude vector over the 2**n_qubits computational kets.
 
     `amplitudes` is a read-only copy, so the Schmidt cuts that
-    `correlation.von_neumann_entropy` memoises in `_cuts` cannot go stale.
+    `correlation._schmidt_cuts` memoises in `_cuts` cannot go stale.
     """
 
     n_qubits: int
@@ -196,18 +196,24 @@ def _check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return kept
 
 
-def _amplitude_matrix(amps: np.ndarray, n: int, rows: Sequence[int]) -> np.ndarray:
-    """The amplitudes of an n-qubit state as a 2^|rows| x 2^(n - |rows|) matrix.
+def _amplitude_matrices(
+    amps: np.ndarray, n: int, sides: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """The amplitudes of an n-qubit state as one 2^k x 2^(n - k) matrix per side.
 
-    The qubits in `rows`, in the order given, index the rows; the remaining
-    qubits, in ascending order, index the columns.
+    Every side holds k distinct qubits, the same k for all. A side's qubits,
+    in the order given, index its matrix's rows; the remaining qubits, in
+    ascending order, index the columns. The matrices come stacked in a new
+    array, in the order of `sides`.
     """
-    rows = _check_subset(rows, n)
-    kept = set(rows)
-    rest = [q for q in range(n) if q not in kept]
-    return amps.reshape((2,) * n).transpose([*rows, *rest]).reshape(
-        1 << len(rows), 1 << len(rest)
-    )
+    k = len(sides[0])
+    tensor = amps.reshape((2,) * n)
+    out = np.empty((len(sides), 1 << k, 1 << (n - k)), dtype=amps.dtype)
+    for mat, rows in zip(out, sides):
+        kept = set(rows)
+        rest = [q for q in range(n) if q not in kept]
+        mat.reshape((2,) * n)[...] = tensor.transpose([*rows, *rest])
+    return out
 
 
 def reduced_operator(state: PureState, subset: Sequence[int]) -> DensityOperator:
@@ -217,7 +223,8 @@ def reduced_operator(state: PureState, subset: Sequence[int]) -> DensityOperator
     reduction is the Gram matrix M M^dagger of dimension 2^|subset|; the
     2^n x 2^n density operator of the state is never built.
     """
-    mat = _amplitude_matrix(state.amplitudes, state.n_qubits, subset)
+    n = state.n_qubits
+    mat = _amplitude_matrices(state.amplitudes, n, [_check_subset(subset, n)])[0]
     return DensityOperator(len(subset), mat @ mat.conj().T)
 
 

@@ -28,6 +28,43 @@ def brute_reduced(m: np.ndarray, n: int, keep) -> np.ndarray:
     return out
 
 
+def bit_matrix(amps: np.ndarray, n: int, rows) -> np.ndarray:
+    """A pure state's amplitudes as a matrix by explicit bit arithmetic.
+
+    Entry [r, c] is the amplitude whose bits on `rows` (in the order given)
+    spell r and whose bits on the other qubits (ascending) spell c.
+    """
+    rows = list(rows)
+    rest = [q for q in range(n) if q not in rows]
+    index = np.arange(2**n)
+
+    def spell(qubits):
+        return sum(
+            ((index >> (n - 1 - q)) & 1) << (len(qubits) - 1 - pos)
+            for pos, q in enumerate(qubits)
+        )
+
+    m = np.zeros((2 ** len(rows), 2 ** len(rest)), dtype=complex)
+    m[spell(rows), spell(rest)] = amps
+    return m
+
+
+def brute_pure_reduced(amps: np.ndarray, n: int, keep) -> np.ndarray:
+    """Reduced matrix of a pure state over `keep`, as M M^dagger of `bit_matrix`."""
+    m = bit_matrix(amps, n, keep)
+    return m @ m.conj().T
+
+
+def svd_schmidt_probs(amps: np.ndarray, n: int, alpha) -> np.ndarray:
+    """Squared singular values, descending, of the cut between alpha and the rest.
+
+    The SVD route: unlike a Gram matrix's eigenvalues, these keep a product
+    cut's tail near its true size (about 1e-32), not at rounding noise.
+    """
+    sv = np.linalg.svd(bit_matrix(amps, n, alpha), compute_uv=False)
+    return sv * sv
+
+
 def entropy_oracle(m: np.ndarray) -> float:
     """-sum l ln l over the eigenvalues of a Hermitian matrix."""
     vals = np.linalg.eigvalsh((m + m.conj().T) / 2)

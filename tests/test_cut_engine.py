@@ -1,0 +1,178 @@
+"""The batched cut engine, `correlation._schmidt_cuts`, and the array form
+of the decomposition, `partitions.decompose_rows`.
+
+Below the half cut the engine takes Gram spectra, which are accurate for
+entropies but leave an exact product's tail at rounding noise; those cuts
+must be solved again by SVD before they reach the memo. These tests check
+every cut's entropy against the brute-force oracle in `helpers`, every
+product flag against the SVD route, and the rows against the one-row calls.
+"""
+
+import numpy as np
+import pytest
+
+import qcorr.partitions
+from qcorr import (
+    DensityOperator,
+    Partition,
+    PartitionError,
+    PureState,
+    araki_lieb_check,
+    decompose,
+    enumerate_bipartitions,
+    is_maximally_correlated_purification,
+    is_product_across,
+    permute_qubits,
+    purify,
+    sweep,
+)
+from qcorr.correlation import GRAM_TAIL_FLOOR, _schmidt_cuts
+from qcorr.partitions import _product_flag, decompose_rows
+from helpers import (
+    brute_pure_reduced,
+    entropy_oracle,
+    random_density,
+    random_pure,
+    svd_schmidt_probs,
+)
+from test_report_paths import solved  # noqa: F401  (fixture)
+
+ORACLE_TOL = 1e-12
+
+
+def _sparse_pure(rng, n, keep):
+    """A random pure state with all but about `keep` of its amplitudes zero."""
+    amps = random_pure(rng, n)
+    amps[rng.random(1 << n) >= keep] = 0.0
+    if not np.any(amps):
+        amps[int(rng.integers(1 << n))] = 1.0
+    return amps / np.linalg.norm(amps)
+
+
+def _shuffled_product(rng, n, k):
+    """A random product of k and n - k qubits, qubits shuffled; and the factor."""
+    amps = np.kron(random_pure(rng, k), random_pure(rng, n - k))
+    perm = [int(q) for q in rng.permutation(n)]
+    return permute_qubits(PureState(n, amps), perm), frozenset(perm[:k])
+
+
+def _check_every_cut(state):
+    """Engine entropies against the oracle and flags against the SVD route,
+    on both sides of every cut, all solved in one engine call."""
+    n, amps = state.n_qubits, state.amplitudes
+    sides = [side for p in enumerate_bipartitions(n) for side in (p.alpha, p.beta[::-1])]
+    cuts = _schmidt_cuts(state, sides)
+    for side, (probs, entropy) in zip(sides, cuts):
+        want = entropy_oracle(brute_pure_reduced(amps, n, side))
+        assert abs(entropy - want) <= ORACLE_TOL, side
+        reference = svd_schmidt_probs(amps, n, side)
+        assert _product_flag(probs) == _product_flag(reference), side
+        tail, reference_tail = float(np.sum(probs[1:])), float(np.sum(reference[1:]))
+        assert tail >= 0.0, side
+        if tail < GRAM_TAIL_FLOOR:
+            # only an SVD tail may sit below the floor
+            assert abs(tail - reference_tail) <= 1e-6 * reference_tail + 1e-28, side
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_every_cut_matches_the_oracle_on_random_states(n):
+    rng = np.random.default_rng(300 + n)
+    for amps in [random_pure(rng, n), _sparse_pure(rng, n, 0.5), _sparse_pure(rng, n, 0.1)]:
+        _check_every_cut(PureState(n, amps))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_shuffled_products_are_flagged_at_every_split(n):
+    rng = np.random.default_rng(400 + n)
+    for k in range(1, n):
+        state, factor = _shuffled_product(rng, n, k)
+        _check_every_cut(state)
+        part = Partition.complement(sorted(factor), n)
+        assert is_product_across(state, part), (n, k)
+
+
+def test_near_product_is_not_flagged():
+    # |01> + 1e-9 |10>: a Schmidt tail of 1e-18, under the Gram route's noise
+    amps = np.array([0.0, 1.0, 1e-9, 0.0])
+    state = PureState(2, amps / np.linalg.norm(amps))
+    _check_every_cut(state)
+    assert not is_product_across(state, Partition((0,), (1,)))
+    three = PureState(3, np.kron(state.amplitudes, [1.0, 0.0]))
+    _check_every_cut(three)
+    assert not is_product_across(three, Partition((0,), (1, 2)))
+    assert is_product_across(three, Partition((2,), (0, 1)))
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_twelve_qubit_random_products_are_flagged_after_a_sweep(k):
+    state, factor = _shuffled_product(np.random.default_rng(500 + k), 12, k)
+    report = sweep(state)
+    flagged = [
+        frozenset(part.alpha)
+        for part, entry in zip(enumerate_bipartitions(12), report.entries)
+        if entry.product_across
+    ]
+    assert flagged in ([factor], [frozenset(range(12)) - factor])
+
+
+def test_maximal_purification_flag_solves_two_by_two_grams_only(solved):
+    rho = DensityOperator(4, random_density(np.random.default_rng(81), 4))
+    result = purify(rho)
+    solved["svd"].clear()
+    solved["eigvalsh"].clear()
+    assert is_maximally_correlated_purification(result) is False
+    assert solved["svd"] == []
+    assert solved["eigvalsh"] == [(2, 2)] * result.purified.n_qubits
+
+
+def _random_parts(rng, n, count):
+    parts = []
+    for _ in range(count):
+        order = [int(q) for q in rng.permutation(n)]
+        k = int(rng.integers(1, n))
+        parts.append(Partition(tuple(order[:k]), tuple(order[k:])))
+    return parts
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_rows_are_the_one_row_calls(dense):
+    rng = np.random.default_rng(91)
+    n = 5
+    if dense:
+        state = DensityOperator(n, random_density(rng, n))
+    else:
+        state = PureState(n, random_pure(rng, n))
+    parts = _random_parts(rng, n, 12)
+    rows = decompose_rows(state, parts)
+    for i, part in enumerate(parts):
+        d = decompose(state, part)
+        al = araki_lieb_check(state, part)
+        assert (d.internal_alpha, d.internal_beta, d.external, d.total) == (
+            rows.internal_alpha[i],
+            rows.internal_beta[i],
+            rows.external[i],
+            rows.total[i],
+        )
+        assert (al.ok, al.lower_slack, al.upper_slack) == (
+            rows.araki_lieb_ok[i],
+            rows.lower_slack[i],
+            rows.upper_slack[i],
+        )
+
+
+def test_rows_check_every_partition_and_the_identity(monkeypatch):
+    state = PureState(4, random_pure(np.random.default_rng(92), 4))
+    good = Partition((0,), (1, 2, 3))
+    with pytest.raises(PartitionError):
+        decompose_rows(state, [good, Partition((0,), (1, 2))])
+    real = qcorr.partitions._subset_entropies
+
+    def corrupted(state, subsets):
+        s = real(state, subsets)
+        s[state.n_qubits + 1] += 1.0  # S(alpha) of the second row
+        return s
+
+    monkeypatch.setattr(qcorr.partitions, "_subset_entropies", corrupted)
+    with pytest.raises(ArithmeticError, match=r"b\|acd"):
+        decompose_rows(state, [good, Partition((1,), (0, 2, 3))])
+

@@ -1,13 +1,16 @@
 """The report is built from the library's decomposition path.
 
-Each row of `analyze`/`sweep` comes from `decompose`, `is_product_across`
-and `araki_lieb_check`, and the total from `total_correlation`. A
-`PureState` memoises the Schmidt probabilities of each cut under the qubit
-set of either side, so those calls share one SVD per cut. These tests count
-the SVDs, check that the memo cannot go stale or hide a bad subset, and
-check the rows against the dense library calls and the paper's identities.
+The rows of `analyze`/`sweep` come from `decompose_rows` of all the
+partitions at once and `is_product_across` of each, and the total from
+`total_correlation`. A `PureState` memoises the Schmidt probabilities of
+each cut under the qubit set of either side, and `_schmidt_cuts` fills that
+memo in one batched pass, so each cut is solved once. These tests count the
+matrices given to each solver, check that the memo cannot go stale or hide
+a bad subset, and check the rows against the dense library calls and the
+paper's identities.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +20,6 @@ from hypothesis import strategies as st
 
 import qcorr.report
 from qcorr import (
-    ArakiLiebResult,
     Partition,
     PartitionError,
     PureState,
@@ -44,29 +46,39 @@ IDENTITY_TOL = 1e-8
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
+def solved(monkeypatch):
+    """The shape of each matrix given to `svd` and to `eigvalsh`, by solver.
 
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    A stacked call counts once per matrix in its stack.
+    """
+    shapes = {"svd": [], "eigvalsh": []}
+    for name, matrices in shapes.items():
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
+        def counting(a, *args, _solve=getattr(np.linalg, name), _seen=matrices, **kwargs):
+            shape = np.shape(a)
+            _seen.extend([shape[-2:]] * math.prod(shape[:-2]))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
 
 
-def test_sweep_makes_one_svd_per_cut(svd_calls):
+def test_sweep_solves_each_cut_once(solved):
     n = 6
     sweep(PureState(n, random_pure(np.random.default_rng(71), n)))
-    assert len(svd_calls) == 2 ** (n - 1) - 1
+    # 6 one-qubit and 15 two-qubit sides go through Gram spectra, the 10
+    # half cuts through SVD: 31 = 2 ** (n - 1) - 1 cuts, each solved once.
+    assert sorted(solved["eigvalsh"]) == [(2, 2)] * 6 + [(4, 4)] * 15
+    assert solved["svd"] == [(8, 8)] * 10
 
 
-def test_analyze_of_an_unsorted_cut_makes_one_svd_per_qubit_plus_one(svd_calls):
+def test_analyze_of_an_unsorted_cut_makes_seven_gram_spectra(solved):
     n = 6
     state = PureState(n, random_pure(np.random.default_rng(72), n))
     analyze(state, [Partition((2, 0), (5, 4, 3, 1))])
-    assert len(svd_calls) == n + 1
+    # one per qubit and one for the cut; no SVD
+    assert sorted(solved["eigvalsh"]) == [(2, 2)] * n + [(4, 4)]
+    assert solved["svd"] == []
 
 
 def test_writing_to_the_callers_array_leaves_every_entropy_unchanged():
@@ -107,12 +119,17 @@ def test_report_rejects_a_partition_of_another_size():
 def test_report_flags_araki_lieb_from_real_checks(monkeypatch):
     assert sweep(ghz(4)).bounds.araki_lieb_ok is True
     checked = []
+    real = qcorr.report.decompose_rows
 
-    def failing(state, part):
-        checked.append(part)
-        return ArakiLiebResult(len(checked) != 2, 0.0, 0.0)
+    def failing(state, parts):
+        rows = real(state, parts)
+        assert rows.araki_lieb_ok.all()
+        checked.extend(parts)
+        lower = rows.lower_slack.copy()
+        lower[1] = -1.0  # the second partition's check fails
+        return dataclasses.replace(rows, lower_slack=lower)
 
-    monkeypatch.setattr(qcorr.report, "araki_lieb_check", failing)
+    monkeypatch.setattr(qcorr.report, "decompose_rows", failing)
     report = sweep(ghz(4))
     assert len(checked) == len(report.entries) == 7
     assert report.bounds.araki_lieb_ok is False
