@@ -322,17 +322,15 @@ def test_parse_partition_rejects_multi_letter_and_empty_tokens():
 
 def test_bad_comma_token_position_is_its_offset_in_the_raw_text():
     cases = [
-        ("a,  b,X|c,d", 6),
-        ("  a,X|b,c,d", 4),
-        ("a,b|c,  X", 8),
-        ("b, |a,c,d", 2),
+        ("a,  b,X|c,d", 6, "X"),
+        ("  a,X|b,c,d", 4, "X"),
+        ("a,b|c,  X", 8, "X"),
+        ("b, |a,c,d", 2, ""),
     ]
-    for text, position in cases:
-        with pytest.raises(SpecParseError, match="bad qubit token") as err:
+    for text, position, token in cases:
+        with pytest.raises(SpecParseError, match=f"bad qubit token {token!r}") as err:
             parse_partition(text, 4)
         assert err.value.position == position, text
-        token = text[position:].split(",")[0].split("|")[0].strip()
-        assert repr(token) in str(err.value), text
     with pytest.raises(SpecParseError) as err:
         parse_subset(" a, Q", 4)
     assert err.value.position == 4
