@@ -141,10 +141,10 @@ def _schmidt_cuts(
 
     Every cut is memoised on the state under the qubit set of each side, as
     both sides of a pure state share their spectrum. A hit needs the set to
-    be as long as its subset, so (0, 0) misses; a miss validates its subset,
-    and every subset is validated before any cut is computed. A side of a cut
-    already queued in this call counts as a hit. The cuts still
-    missing are keyed by their smaller side and solved together, one size of
+    be as long as its subset, so (0, 0) misses; a side of a cut already
+    queued in this call counts as a hit too. A miss validates its subset,
+    and every subset is validated before any cut is computed. The missing
+    cuts are keyed by their smaller side and solved together, one size of
     that side at a time (`_level_probs`). The whole register, or none of it,
     has the one probability |psi|^2. Probabilities are read-only and
     descending; no memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
