@@ -139,42 +139,38 @@ def _schmidt_cuts(
 ) -> list[tuple[np.ndarray, float]]:
     """(Schmidt probabilities, entropy) of the cut between each subset and the rest.
 
-    Every cut is memoised on the state under the qubit set of each side, as
-    both sides of a pure state share their spectrum. A hit needs the set to
-    be as long as its subset, so (0, 0) misses; a side of a cut already
-    queued in this call counts as a hit too. A miss validates its subset,
-    and every subset is validated before any cut is computed. The missing
-    cuts are keyed by their smaller side and solved together, one size of
-    that side at a time (`_level_probs`). The whole register, or none of it,
-    has the one probability |psi|^2. Probabilities are read-only and
-    descending; no memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
+    Every subset is validated. Both sides of a pure state's cut share their
+    spectrum, so the state memoises each cut once, keyed by the bit mask
+    (bit q for qubit q) of its smaller side; at the half cut, of the side
+    holding qubit 0. The whole register, or none of it, is key 0, with the
+    one probability |psi|^2. The missing cuts are solved together, one size
+    of the smaller side at a time (`_level_probs`), that side's qubits in
+    ascending order indexing the matrix rows. Probabilities are read-only
+    and descending; no memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
     """
     n, amps, memo = state.n_qubits, state.amplitudes, state._cuts
-    register = frozenset(range(n))
+    full = (1 << n) - 1
     keys = []
-    # Each side of a queued cut -> (its smaller side, sorted; both sides).
-    queued: dict[frozenset, tuple[tuple[int, ...], frozenset, frozenset]] = {}
     for subset in subsets:
-        subset = tuple(subset)
-        key = frozenset(subset)
-        if len(key) != len(subset) or (key not in memo and key not in queued):
-            key = frozenset(_check_subset(subset, n))
-            if key not in memo and key not in queued:
-                rest = register - key
-                small = min(sorted(key), sorted(rest), key=lambda s: (len(s), s))
-                queued[key] = queued[rest] = (tuple(small), key, rest)
-        keys.append(key)
-    levels: dict[int, dict[tuple[int, ...], tuple[frozenset, frozenset]]] = {}
-    for small, key, rest in queued.values():
-        levels.setdefault(len(small), {})[small] = (key, rest)
-    for k, cuts in levels.items():
+        subset = _check_subset(subset, n)
+        mask = 0
+        for q in subset:
+            mask |= 1 << q
+        if 2 * len(subset) > n or (2 * len(subset) == n and not mask & 1):
+            mask ^= full
+        keys.append(mask)
+    levels: dict[int, list[int]] = {}
+    for key in dict.fromkeys(keys):
+        if key not in memo:
+            levels.setdefault(key.bit_count(), []).append(key)
+    for k, level in levels.items():
         if k == 0:
             probs = np.array([[float(np.vdot(amps, amps).real)]])
         else:
-            probs = _level_probs(amps, n, list(cuts))
+            sides = [tuple(q for q in range(n) if key >> q & 1) for key in level]
+            probs = _level_probs(amps, n, sides)
         probs.setflags(write=False)
-        for (key, rest), p, s in zip(cuts.values(), probs, _entropies(probs).tolist()):
-            memo[key] = memo[rest] = (p, s)
+        memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
     return [memo[key] for key in keys]
 
 

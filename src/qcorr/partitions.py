@@ -115,14 +115,8 @@ class DecompositionRows:
 
 def _side_sums(values: np.ndarray, sides: list[tuple[int, ...]]) -> np.ndarray:
     """sum(values[q] for q in side) for each side, added in the side's order."""
-    padded = np.append(values, 0.0)
-    index = np.full((len(sides), max(map(len, sides), default=0)), len(values))
-    for row, side in zip(index, sides):
-        row[: len(side)] = side
-    sums = np.zeros(len(sides))
-    for column in index.T:
-        sums += padded[column]
-    return sums
+    entry = values.tolist().__getitem__
+    return np.array([sum(map(entry, side)) for side in sides])
 
 
 def decompose_rows(

@@ -140,7 +140,8 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
     Amplitude index = big-endian bit string with qubit 0 most significant.
     The squared norm must be within 1e-8 of 1; amplitudes are renormalized
     only when needed to meet the PureState invariant, so files produced by
-    `save_state_file` round-trip bit-exactly.
+    `save_state_file` round-trip bit-exactly. An `n_qubits` above the size
+    cap raises SizeCapError before any amplitude is checked or stored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -152,6 +153,7 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
     n = doc.get("n_qubits")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StateFileError(f"{path}: 'n_qubits' must be a positive integer")
+    _check_cap(n, max_qubits)
     raw = doc.get("amplitudes")
     if not isinstance(raw, list):
         raise StateFileError(f"{path}: 'amplitudes' must be an array")
@@ -172,7 +174,6 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
                 f"{path}: amplitude {i} must be a [re, im] pair, got {pair!r}"
             )
         amps[i] = complex(pair[0], pair[1])
-    _check_cap(n, max_qubits)
     nrm2 = float(np.vdot(amps, amps).real)
     if abs(nrm2 - 1.0) > FILE_NORM_TOL:
         raise NotNormalizedError(
@@ -230,20 +231,26 @@ def parse_partition(text: str, n_qubits: int) -> Partition:
     Letters a, b, c, ... alias indices 0, 1, 2, ...; a side given without
     commas is read one letter per qubit. The two sides must cover all qubits.
     """
+    return _parse_partition(text, n_qubits, 0)
+
+
+def _parse_partition(text: str, n_qubits: int, offset: int) -> Partition:
+    """`parse_partition` of `text`, which starts at `offset` in the user's
+    input, so errors point into that input."""
     if text.count("|") != 1:
         raise SpecParseError(
             f"partition must contain exactly one '|', got {text!r}",
-            text.find("|") if "|" in text else len(text),
+            offset + (text.find("|") if "|" in text else len(text)),
         )
     left, right = text.split("|")
-    alpha = _parse_side(left, 0)
-    beta = _parse_side(right, len(left) + 1)
+    alpha = _parse_side(left, offset)
+    beta = _parse_side(right, offset + len(left) + 1)
     part = Partition(alpha, beta)
     if part.n_qubits != n_qubits:
         raise SpecParseError(
             f"partition {text!r} covers {part.n_qubits} qubits, state has "
             f"{n_qubits}",
-            0,
+            offset,
         )
     return part
 
@@ -253,20 +260,24 @@ def parse_partition_list(text: str, n_qubits: int) -> list[Partition]:
 
     A value with a single '|' is one partition (commas inside it separate
     qubits, as in '0,2|1,3'). A multi-partition list must use the comma-free
-    letter syntax for each entry, e.g. 'ab|cd,ac|bd'.
+    letter syntax for each entry, e.g. 'ab|cd,ac|bd'. Errors give their
+    position in `text`.
     """
     if text.count("|") <= 1:
         return [parse_partition(text, n_qubits)]
     parts = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
+    pos = 0
+    for raw in text.split(","):
+        chunk = raw.strip()
+        at = pos + len(raw) - len(raw.lstrip())
         if chunk.count("|") != 1:
             raise SpecParseError(
                 "multi-partition lists must be comma-free per entry, e.g. "
                 f"'ab|cd,ac|bd'; got chunk {chunk!r}",
-                text.find(chunk),
+                at,
             )
-        parts.append(parse_partition(chunk, n_qubits))
+        parts.append(_parse_partition(chunk, n_qubits, at))
+        pos += len(raw) + 1
     return parts
 
 

@@ -40,12 +40,17 @@ class PureState:
     """Normalized amplitude vector over the 2**n_qubits computational kets.
 
     `amplitudes` is a read-only copy, so the Schmidt cuts that
-    `correlation._schmidt_cuts` memoises in `_cuts` cannot go stale.
+    `correlation._schmidt_cuts` memoises in `_cuts` cannot go stale. That
+    memo holds one (probabilities, entropy) entry per cut, keyed by the bit
+    mask of the cut's smaller side; the engine validates every subset it is
+    asked for, hit or miss.
     """
 
     n_qubits: int
     amplitudes: np.ndarray
-    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cuts: dict[int, tuple[np.ndarray, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -132,7 +137,7 @@ def _check_cap(n_qubits: int, max_qubits: int | None) -> None:
     if n_qubits > cap:
         raise SizeCapError(
             f"{n_qubits} qubits exceeds the size cap of {cap} "
-            f"(dense dimension {1 << n_qubits})"
+            f"(dense dimension 2^{n_qubits})"
         )
 
 
@@ -191,7 +196,7 @@ def _check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
         kept = tuple(map(operator.index, given))
     except TypeError:
         raise IndexError(f"subset {given} must hold integer qubits") from None
-    if len(set(kept)) != len(kept) or not all(0 <= q < n for q in kept):
+    if len(set(kept)) != len(kept) or (kept and (min(kept) < 0 or max(kept) >= n)):
         raise IndexError(f"subset {kept} must hold distinct qubits in 0..{n - 1}")
     return kept
 

@@ -129,6 +129,24 @@ def test_exit_code_size_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("spec", ["ghz:100000", "ue:20000"])
+def test_huge_named_state_hits_the_size_cap(capsys, spec):
+    code, out, err = run(capsys, "entropy", "--state", spec, "--subset", "a")
+    assert code == 3
+    assert out == ""
+    n = spec.split(":")[1]
+    assert err == f"error: {n} qubits exceeds the size cap of 12 (dense dimension 2^{n})\n"
+
+
+def test_huge_state_file_hits_the_size_cap_before_reading_amplitudes(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n_qubits": 100000000, "amplitudes": []}')
+    code, out, err = run(capsys, "entropy", "--state", f"file:{path}", "--subset", "a")
+    assert code == 3
+    assert out == ""
+    assert "100000000 qubits exceeds the size cap of 12 (dense dimension 2^100000000)" in err
+
+
 def test_max_qubits_override(capsys):
     code, out, _ = run(
         capsys, "entropy", "--state", "ghz:13", "--subset", "a", "--max-qubits", "13"

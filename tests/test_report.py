@@ -135,6 +135,20 @@ def test_parse_partition_list():
         parse_partition_list("0,2|1,3,ab|cd", 4)
 
 
+def test_parse_partition_list_errors_give_their_position_in_the_list():
+    cases = [
+        ("ab|cd,ac|bd,d", 12, "comma-free"),
+        ("ab|cd,ac|b", 6, "covers 3 qubits"),
+        ("ab|cd, ac|b", 7, "covers 3 qubits"),
+        ("ab|cd,ac|b!", 9, "bad partition side"),
+        ("ab|cd,,ac|bd", 6, "comma-free"),
+    ]
+    for text, position, message in cases:
+        with pytest.raises(SpecParseError, match=message) as err:
+            parse_partition_list(text, 4)
+        assert err.value.position == position, text
+
+
 def test_parse_subset():
     assert parse_subset("ab", 4) == (0, 1)
     assert parse_subset("0,3", 4) == (0, 3)

@@ -3,11 +3,12 @@
 The rows of `analyze`/`sweep` come from `decompose_rows` of all the
 partitions at once and `is_product_across` of each, and the total from
 `total_correlation`. A `PureState` memoises the Schmidt probabilities of
-each cut under the qubit set of either side, and `_schmidt_cuts` fills that
-memo in one batched pass, so each cut is solved once. These tests count the
-matrices given to each solver, check that the memo cannot go stale or hide
-a bad subset, and check the rows against the dense library calls and the
-paper's identities.
+each cut once, under the bit mask of its smaller side, and `_schmidt_cuts`
+fills that memo in one batched pass and validates every subset, so each cut
+is solved once. These tests count the matrices given to each solver and the
+memo's entries, check that the memo cannot go stale or hide a bad subset,
+and check the rows against the dense library calls and the paper's
+identities.
 """
 
 import dataclasses
@@ -103,12 +104,21 @@ def test_amplitudes_are_read_only():
         state.amplitudes[0] = 0
 
 
-@pytest.mark.parametrize("bad", [(0, 0), (1, 1, 0), (0, 0, 1, 1), (4,)])
+@pytest.mark.parametrize(
+    "bad", [(0, 0), (1, 1, 0), (0, 0, 1, 1), (4,), (1.0,), (0, 2.0)]
+)
 def test_bad_subsets_raise_after_their_set_is_memoised(bad):
     state = ghz(4)
     sweep(state)
     with pytest.raises(IndexError):
         von_neumann_entropy(state, bad)
+
+
+def test_a_sweep_memoises_each_cut_once():
+    state = PureState(6, random_pure(np.random.default_rng(74), 6))
+    sweep(state)
+    # 31 cuts and the whole register
+    assert len(state._cuts) == 32
 
 
 def test_report_rejects_a_partition_of_another_size():
