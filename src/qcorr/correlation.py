@@ -35,7 +35,7 @@ ENTROPY_EIG_FLOOR = 1e-15
 #: Tolerance used when assigning region labels at the boundaries.
 REGION_TOL = 1e-9
 
-#: The most amplitudes `_schmidt_cuts` stacks for one batched solve: 2^16
+#: The most amplitudes `_cut_spectra` stacks for one batched solve: 2^16
 #: complex values, 1 MiB.
 MAX_STACK_AMPLITUDES = 1 << 16
 
@@ -134,21 +134,24 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     return np.concatenate(out)
 
 
-def _schmidt_cuts(
-    state: PureState, subsets: Iterable[Sequence[int]]
+def _cut_spectra(
+    state: PureState | DensityOperator, subsets: Iterable[Sequence[int]]
 ) -> list[tuple[np.ndarray, float]]:
-    """(Schmidt probabilities, entropy) of the cut between each subset and the rest.
+    """(read-only spectrum, entropy) of the state's reduction onto each subset.
 
-    Every subset is validated. Both sides of a pure state's cut share their
-    spectrum, so the state memoises each cut once, keyed by the bit mask
-    (bit q for qubit q) of its smaller side; at the half cut, of the side
-    holding qubit 0. The whole register, or none of it, is key 0, with the
-    one probability |psi|^2. The missing cuts are solved together, one size
-    of the smaller side at a time (`_level_probs`), that side's qubits in
-    ascending order indexing the matrix rows. Probabilities are read-only
-    and descending; no memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
+    Every subset is validated, and the state memoises each reduction once in
+    `_cuts` under a bit mask (bit q for qubit q). An operator's key is the
+    subset's own mask: the subset is traced in ascending order, and the whole
+    register reads the cached `spectrum` (eigenvalues ascending). Both sides
+    of a pure state's cut share their Schmidt probabilities (descending), so
+    its key is the mask of the smaller side; at the half cut, of the side
+    holding qubit 0; for the whole register, 0, with the one probability
+    |psi|^2. The missing cuts are solved one size of the smaller side at a
+    time (`_level_probs`); no memo entry holds a Gram tail below
+    `GRAM_TAIL_FLOOR`.
     """
-    n, amps, memo = state.n_qubits, state.amplitudes, state._cuts
+    n, memo = state.n_qubits, state._cuts
+    pure = isinstance(state, PureState)
     full = (1 << n) - 1
     keys = []
     for subset in subsets:
@@ -156,27 +159,32 @@ def _schmidt_cuts(
         mask = 0
         for q in subset:
             mask |= 1 << q
-        if 2 * len(subset) > n or (2 * len(subset) == n and not mask & 1):
+        if pure and (2 * len(subset) > n or (2 * len(subset) == n and not mask & 1)):
             mask ^= full
         keys.append(mask)
-    levels: dict[int, list[int]] = {}
-    for key in dict.fromkeys(keys):
-        if key not in memo:
+    missing = [key for key in dict.fromkeys(keys) if key not in memo]
+    if pure:
+        levels: dict[int, list[int]] = {}
+        for key in missing:
             levels.setdefault(key.bit_count(), []).append(key)
-    for k, level in levels.items():
-        if k == 0:
-            probs = np.array([[float(np.vdot(amps, amps).real)]])
-        else:
-            sides = [tuple(q for q in range(n) if key >> q & 1) for key in level]
-            probs = _level_probs(amps, n, sides)
-        probs.setflags(write=False)
-        memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
+        for k, level in levels.items():
+            if k == 0:
+                probs = np.array([[float(np.vdot(state.amplitudes, state.amplitudes).real)]])
+            else:
+                sides = [tuple(q for q in range(n) if key >> q & 1) for key in level]
+                probs = _level_probs(state.amplitudes, n, sides)
+            probs.setflags(write=False)
+            memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
+    else:
+        for key in missing:
+            if key == full:
+                values = state.spectrum
+            else:
+                kept = [q for q in range(n) if key >> q & 1]
+                values = hermitian_spectrum(partial_trace(state.matrix, n, kept))
+                values.setflags(write=False)
+            memo[key] = (values, entropy_from_probs(values))
     return [memo[key] for key in keys]
-
-
-def _schmidt_cut(state: PureState, subset: Sequence[int]) -> tuple[np.ndarray, float]:
-    """`_schmidt_cuts` of one subset."""
-    return _schmidt_cuts(state, [subset])[0]
 
 
 def von_neumann_entropy(
@@ -184,32 +192,20 @@ def von_neumann_entropy(
 ) -> float:
     """S of the state's reduction onto `subset` (the whole register if None).
 
-    -Tr(rho ln rho) in nats, with 0 ln 0 = 0 and the result clamped to >= 0.
-    A pure state is reduced through its Schmidt probabilities, memoised per
-    cut, and never densified; its whole-register entropy comes from |psi|^2.
-    An operator is reduced by partial trace; its whole-register entropy
-    reads the cached `DensityOperator.spectrum`. Raises IndexError unless
-    `subset` holds distinct qubits in range.
+    -Tr(rho ln rho) in nats, with 0 ln 0 = 0 and the result clamped to >= 0,
+    from the memoised engine (`_cut_spectra`). A pure state is reduced
+    through its Schmidt probabilities and never densified, an operator by
+    partial trace. Raises IndexError unless `subset` holds distinct qubits
+    in range.
     """
-    n = state.n_qubits
-    if isinstance(state, PureState):
-        return _schmidt_cut(state, range(n) if subset is None else subset)[1]
-    if subset is not None:
-        subset = _check_subset(subset, n)
-        if len(subset) < n:
-            return entropy_from_probs(
-                hermitian_spectrum(partial_trace(state.matrix, n, subset))
-            )
-    return entropy_from_probs(state.spectrum)
+    return _cut_spectra(state, [range(state.n_qubits) if subset is None else subset])[0][1]
 
 
 def _subset_entropies(
     state: PureState | DensityOperator, subsets: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """`von_neumann_entropy` of each subset; a pure state's in one engine call."""
-    if isinstance(state, PureState):
-        return np.array([cut[1] for cut in _schmidt_cuts(state, subsets)])
-    return np.array([von_neumann_entropy(state, subset) for subset in subsets])
+    """`von_neumann_entropy` of each subset, in one engine call."""
+    return np.array([cut[1] for cut in _cut_spectra(state, subsets)])
 
 
 def subsystem_entropies(state: PureState | DensityOperator) -> list[float]:
@@ -225,9 +221,8 @@ def total_correlation(state: PureState | DensityOperator) -> float:
 def index_of_correlation(state: PureState | DensityOperator, part: "Partition") -> float:
     """S(rho_alpha) + S(rho_beta) - S(rho) across the given bipartition."""
     part.check_size(state.n_qubits)
-    s_a = von_neumann_entropy(state, part.alpha)
-    s_b = von_neumann_entropy(state, part.beta)
-    return float(clamp_nonneg(s_a + s_b - von_neumann_entropy(state)))
+    s_a, s_b, s = _subset_entropies(state, [part.alpha, part.beta, range(state.n_qubits)])
+    return float(clamp_nonneg(s_a + s_b - s))
 
 
 def max_total_correlation(n_qubits: int) -> float:

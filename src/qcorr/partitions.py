@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlation import (
     LN2,
-    _schmidt_cut,
+    _cut_spectra,
     _subset_entropies,
     clamp_nonneg,
     subsystem_entropies,
@@ -124,23 +124,25 @@ def decompose_rows(
 ) -> DecompositionRows:
     """`decompose` of each partition, with its Araki-Lieb slacks, as arrays.
 
-    The entropies come from one table: the single-qubit entropies, S(alpha)
-    and S(beta) of every partition and S of the whole state, a pure state's
-    from one `_schmidt_cuts` call. Per row, internal = the side's
-    single-qubit entropies minus its entropy, external = S(alpha) + S(beta)
-    - S, and the slacks are S - |S(alpha) - S(beta)| and S(alpha) + S(beta)
-    - S. Raises PartitionError if a partition does not cover the state and
-    ArithmeticError if a row's parts miss its total by more than
-    `IDENTITY_TOL`.
+    The entropies come from one `_cut_spectra` call: the single-qubit
+    entropies, S(alpha) of every partition, an operator's S(beta) (a pure
+    state's is S(alpha), the same memo entry) and S of the whole state. Per
+    row, internal = the side's single-qubit entropies minus its entropy,
+    external = S(alpha) + S(beta) - S, and the slacks are S - |S(alpha) -
+    S(beta)| and S(alpha) + S(beta) - S. Raises PartitionError if a
+    partition does not cover the state and ArithmeticError if a row's parts
+    miss its total by more than `IDENTITY_TOL`.
     """
     n, m = state.n_qubits, len(parts)
     for part in parts:
         part.check_size(n)
     alphas = [part.alpha for part in parts]
     betas = [part.beta for part in parts]
+    pure = isinstance(state, PureState)
     singles = [(q,) for q in range(n)]
-    s = _subset_entropies(state, [*singles, *alphas, *betas, range(n)])
-    s_k, s_alpha, s_beta, s_total = s[:n], s[n : n + m], s[n + m : n + 2 * m], s[-1]
+    s = _subset_entropies(state, [*singles, *alphas, *([] if pure else betas), range(n)])
+    s_k, s_alpha, s_total = s[:n], s[n : n + m], s[-1]
+    s_beta = s_alpha if pure else s[n + m : n + 2 * m]
     s_k_alpha = _side_sums(s_k, alphas)
     s_k_beta = _side_sums(s_k, betas)
     internal_alpha = clamp_nonneg(s_k_alpha - s_alpha)
@@ -266,7 +268,7 @@ def is_product_across(
     """
     part.check_size(state.n_qubits)
     if isinstance(state, PureState):
-        return _product_flag(_schmidt_cut(state, part.alpha)[0], tol)
+        return _product_flag(_cut_spectra(state, [part.alpha])[0][0], tol)
     m, n = state.matrix, state.n_qubits
     a, b = part.alpha, part.beta
     rho_a = partial_trace(m, n, a).reshape((2,) * (2 * len(a)))

@@ -21,19 +21,14 @@ from .correlation import (
     LN2,
     BoundsReport,
     Region,
+    _cut_spectra,
+    clamp_nonneg,
     classify_region,
     correlation_bounds,
-    subsystem_entropies,
-    total_correlation,
     von_neumann_entropy,
 )
 from .errors import NotNormalizedError, SpecParseError, StateFileError
-from .partitions import (
-    Partition,
-    decompose_rows,
-    enumerate_bipartitions,
-    is_product_across,
-)
+from .partitions import Partition, _product_flag, decompose_rows, enumerate_bipartitions
 from .states import (
     NORM_TOL,
     PureState,
@@ -240,7 +235,7 @@ def _parse_partition(text: str, n_qubits: int, offset: int) -> Partition:
     if text.count("|") != 1:
         raise SpecParseError(
             f"partition must contain exactly one '|', got {text!r}",
-            offset + (text.find("|") if "|" in text else len(text)),
+            offset + (text.find("|", text.find("|") + 1) if "|" in text else len(text)),
         )
     left, right = text.split("|")
     alpha = _parse_side(left, offset)
@@ -258,12 +253,12 @@ def _parse_partition(text: str, n_qubits: int, offset: int) -> Partition:
 def parse_partition_list(text: str, n_qubits: int) -> list[Partition]:
     """Parse a comma-separated list of partitions.
 
-    A value with a single '|' is one partition (commas inside it separate
-    qubits, as in '0,2|1,3'). A multi-partition list must use the comma-free
-    letter syntax for each entry, e.g. 'ab|cd,ac|bd'. Errors give their
-    position in `text`.
+    A value with a single '|' or no comma is one partition (commas inside it
+    separate qubits, as in '0,2|1,3'). A multi-partition list must use the
+    comma-free letter syntax for each entry, e.g. 'ab|cd,ac|bd'. Errors give
+    their position in `text`.
     """
-    if text.count("|") <= 1:
+    if text.count("|") <= 1 or "," not in text:
         return [parse_partition(text, n_qubits)]
     parts = []
     pos = 0
@@ -298,14 +293,15 @@ def _analyze_pure(
 ) -> CorrelationReport:
     if units not in ("nats", "bits"):
         raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
-    # One engine pass fills the state's memo with every cut; the per-row
-    # product flags and the totals below read it.
+    # The rows' engine pass solves every cut; one more reads the memo for the
+    # single-qubit entropies, each row's product flag and the total entropy.
     rows = decompose_rows(state, parts)
-    s_k = subsystem_entropies(state)
+    n = state.n_qubits
+    cuts = _cut_spectra(state, [*((q,) for q in range(n)), *(p.alpha for p in parts), range(n)])
+    s_k = [entropy for _, entropy in cuts[:n]]
     entries = []
-    for part, ia, ib, ext in zip(
-        parts, rows.internal_alpha.tolist(), rows.internal_beta.tolist(), rows.external.tolist()
-    ):
+    columns = rows.internal_alpha.tolist(), rows.internal_beta.tolist(), rows.external.tolist()
+    for part, ia, ib, ext, (probs, _) in zip(parts, *columns, cuts[n:-1]):
         a, b = len(part.alpha), len(part.beta)
         entries.append(
             PartitionAnalysis(
@@ -316,13 +312,13 @@ def _analyze_pure(
                 region_internal_alpha=classify_region(ia, [LN2] * a),
                 region_internal_beta=classify_region(ib, [LN2] * b),
                 region_external=classify_region(ext, [a * LN2, b * LN2]),
-                product_across=is_product_across(state, part),
+                product_across=_product_flag(probs),
             )
         )
     return CorrelationReport(
-        n_qubits=state.n_qubits,
+        n_qubits=n,
         units=units,
-        total_nats=total_correlation(state),
+        total_nats=float(clamp_nonneg(sum(s_k) - cuts[-1][1])),
         subsystem_entropies=tuple(s_k),
         bounds=replace(correlation_bounds(s_k), araki_lieb_ok=bool(rows.araki_lieb_ok.all())),
         entries=tuple(entries),

@@ -40,7 +40,7 @@ class PureState:
     """Normalized amplitude vector over the 2**n_qubits computational kets.
 
     `amplitudes` is a read-only copy, so the Schmidt cuts that
-    `correlation._schmidt_cuts` memoises in `_cuts` cannot go stale. That
+    `correlation._cut_spectra` memoises in `_cuts` cannot go stale. That
     memo holds one (probabilities, entropy) entry per cut, keyed by the bit
     mask of the cut's smaller side; the engine validates every subset it is
     asked for, hit or miss.
@@ -83,11 +83,17 @@ class DensityOperator:
     Construction checks Hermiticity and trace (cheap, entrywise); positivity
     of the spectrum is only verified by `validate_density`, which is the
     entry point for untrusted matrices. The spectrum is cached on first use,
-    so the matrix must not be changed in place afterwards.
+    and `correlation._cut_spectra` memoises each subset's reduced spectrum
+    and entropy in `_cuts`, keyed by the bit mask of the subset. Both caches
+    read the matrix once, so it must not be changed in place afterwards:
+    whole-register and subset entropies would then disagree with it.
     """
 
     n_qubits: int
     matrix: np.ndarray
+    _cuts: dict[int, tuple[np.ndarray, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n_qubits < 1:

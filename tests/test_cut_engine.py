@@ -1,4 +1,4 @@
-"""The batched cut engine, `correlation._schmidt_cuts`, and the array form
+"""The batched cut engine, `correlation._cut_spectra`, and the array form
 of the decomposition, `partitions.decompose_rows`.
 
 Below the half cut the engine takes Gram spectra, which are accurate for
@@ -26,7 +26,7 @@ from qcorr import (
     purify,
     sweep,
 )
-from qcorr.correlation import GRAM_TAIL_FLOOR, _schmidt_cuts
+from qcorr.correlation import GRAM_TAIL_FLOOR, _cut_spectra
 from qcorr.partitions import _product_flag, decompose_rows
 from helpers import (
     brute_pure_reduced,
@@ -61,7 +61,7 @@ def _check_every_cut(state):
     on both sides of every cut, all solved in one engine call."""
     n, amps = state.n_qubits, state.amplitudes
     sides = [side for p in enumerate_bipartitions(n) for side in (p.alpha, p.beta[::-1])]
-    cuts = _schmidt_cuts(state, sides)
+    cuts = _cut_spectra(state, sides)
     for side, (probs, entropy) in zip(sides, cuts):
         want = entropy_oracle(brute_pure_reduced(amps, n, side))
         assert abs(entropy - want) <= ORACLE_TOL, side

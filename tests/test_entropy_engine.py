@@ -3,7 +3,8 @@
 Pure states are reduced through their Schmidt probabilities and operators
 through the partial trace; these tests check that both routes agree with
 each other and with the brute-force oracle in `helpers`, that subsets are
-validated on both, and that an operator's spectrum is computed once.
+validated on both, and that an operator's memo diagonalises each reduction
+once and gives a subset's entropy the same in any qubit order.
 """
 
 import re
@@ -21,6 +22,7 @@ from qcorr import (
     decompose,
     ghz,
     index_of_correlation,
+    is_product_across,
     spectral_rank,
     subset_entropy,
     to_density,
@@ -111,12 +113,11 @@ def test_whole_register_in_any_order_is_the_total_entropy():
 def test_each_operator_is_diagonalised_once(monkeypatch):
     n = 6
     m = random_density(np.random.default_rng(61), n)
-    full_dim = []
+    shapes = []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
-        if a.shape[-1] == 1 << n:
-            full_dim.append(a.shape)
+        shapes.append(a.shape)
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -127,8 +128,29 @@ def test_each_operator_is_diagonalised_once(monkeypatch):
     index_of_correlation(rho, cut)
     araki_lieb_check(rho, cut)
     total_correlation(rho)
+    is_product_across(rho, cut)
     spectral_rank(rho)
-    assert len(full_dim) == 1
+    # the whole operator, six single qubits and each side of the two cuts
+    assert sorted(shapes) == sorted(
+        [(64, 64)] + [(2, 2)] * n + [(4, 4), (16, 16)] + [(8, 8)] * 2
+    )
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+def test_operator_memo_matches_the_oracle_in_any_order(n, seed, data):
+    m = random_density(np.random.default_rng(seed), n)
+    rho = DensityOperator(n, m)
+    subsets = [
+        tuple(data.draw(st.permutations([q for q in range(n) if mask >> q & 1])))
+        for mask in range(1 << n)
+    ]
+    for i in data.draw(st.permutations(range(len(subsets)))):
+        subset = subsets[i]
+        got = von_neumann_entropy(rho, subset)
+        assert abs(got - entropy_oracle(brute_reduced(m, n, subset))) <= 1e-12, subset
+        # a fresh operator traces the sorted subset, not a memo hit
+        assert got == von_neumann_entropy(DensityOperator(n, m), sorted(subset)), subset
 
 
 def test_non_integer_qubits_are_rejected_not_truncated():

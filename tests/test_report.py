@@ -149,6 +149,13 @@ def test_parse_partition_list_errors_give_their_position_in_the_list():
         assert err.value.position == position, text
 
 
+def test_a_comma_free_value_with_two_bars_is_one_bad_partition():
+    for text in ("a|b|c", "ab|c|d"):
+        with pytest.raises(SpecParseError, match="exactly one '\\|'") as err:
+            parse_partition_list(text, 4)
+        assert err.value.position == text.rindex("|"), text
+
+
 def test_parse_subset():
     assert parse_subset("ab", 4) == (0, 1)
     assert parse_subset("0,3", 4) == (0, 3)

@@ -1,14 +1,14 @@
 """The report is built from the library's decomposition path.
 
 The rows of `analyze`/`sweep` come from `decompose_rows` of all the
-partitions at once and `is_product_across` of each, and the total from
-`total_correlation`. A `PureState` memoises the Schmidt probabilities of
-each cut once, under the bit mask of its smaller side, and `_schmidt_cuts`
-fills that memo in one batched pass and validates every subset, so each cut
-is solved once. These tests count the matrices given to each solver and the
-memo's entries, check that the memo cannot go stale or hide a bad subset,
-and check the rows against the dense library calls and the paper's
-identities.
+partitions at once; the single-qubit entropies, each row's product flag and
+the total from one more `_cut_spectra` call. A `PureState` memoises the
+Schmidt probabilities of each cut once, under the bit mask of its smaller
+side, and `_cut_spectra` fills that memo in one batched pass and validates
+every subset, so each cut is solved once. These tests count the matrices
+given to each solver, the engine's entries and the memo's entries, check
+that the memo cannot go stale or hide a bad subset, and check the rows
+against the dense library calls and the paper's identities.
 """
 
 import dataclasses
@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcorr.correlation
+import qcorr.partitions
 import qcorr.report
 from qcorr import (
     Partition,
@@ -119,6 +121,33 @@ def test_a_sweep_memoises_each_cut_once():
     sweep(state)
     # 31 cuts and the whole register
     assert len(state._cuts) == 32
+
+
+def test_a_sweep_enters_the_engine_twice(monkeypatch):
+    n = 8
+    state = PureState(n, random_pure(np.random.default_rng(75), n))
+    calls = {"engine": 0, "engine checks": 0, "partition checks": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (qcorr.correlation, qcorr.partitions, qcorr.report):
+        counting(module, "_cut_spectra", "engine")
+    counting(qcorr.correlation, "_check_subset", "engine checks")
+    counting(qcorr.partitions, "_check_subset", "partition checks")
+    m = len(sweep(state).entries)
+    assert m == 2 ** (n - 1) - 1
+    assert calls["engine"] <= 2, calls
+    # each engine call checks the n single qubits, the m alphas and the
+    # whole register; building each Partition checks it once more
+    assert calls["engine checks"] <= 2 * (n + m + 1)
+    assert calls["partition checks"] == m
 
 
 def test_report_rejects_a_partition_of_another_size():
