@@ -139,23 +139,22 @@ def _cut_spectra(
 ) -> list[tuple[np.ndarray, float]]:
     """(read-only spectrum, entropy) of the state's reduction onto each subset.
 
-    Every subset is validated, and the state memoises each reduction once in
-    `_cuts` under a bit mask (bit q for qubit q). An operator's key is the
-    subset's own mask: the subset is traced in ascending order, and the whole
-    register reads the cached `spectrum` (eigenvalues ascending). Both sides
-    of a pure state's cut share their Schmidt probabilities (descending), so
-    its key is the mask of the smaller side; at the half cut, of the side
-    holding qubit 0; for the whole register, 0, with the one probability
-    |psi|^2. The missing cuts are solved one size of the smaller side at a
-    time (`_level_probs`); no memo entry holds a Gram tail below
-    `GRAM_TAIL_FLOOR`.
+    Callers hand it checked subsets of distinct qubits in range. The state
+    memoises each reduction once in `_cuts` under a bit mask (bit q for qubit
+    q). An operator's key is the subset's own mask: the subset is traced in
+    ascending order, and the whole register reads the cached `spectrum`
+    (eigenvalues ascending). Both sides of a pure state's cut share their
+    Schmidt probabilities (descending), so its key is the mask of the smaller
+    side; at the half cut, of the side holding qubit 0; for the whole
+    register, 0, with the one probability |psi|^2. The missing cuts are
+    solved one size of the smaller side at a time (`_level_probs`); no memo
+    entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
     """
     n, memo = state.n_qubits, state._cuts
     pure = isinstance(state, PureState)
     full = (1 << n) - 1
     keys = []
     for subset in subsets:
-        subset = _check_subset(subset, n)
         mask = 0
         for q in subset:
             mask |= 1 << q
@@ -198,7 +197,8 @@ def von_neumann_entropy(
     partial trace. Raises IndexError unless `subset` holds distinct qubits
     in range.
     """
-    return _cut_spectra(state, [range(state.n_qubits) if subset is None else subset])[0][1]
+    n = state.n_qubits
+    return _cut_spectra(state, [range(n) if subset is None else _check_subset(subset, n)])[0][1]
 
 
 def _subset_entropies(
@@ -219,10 +219,11 @@ def total_correlation(state: PureState | DensityOperator) -> float:
 
 
 def index_of_correlation(state: PureState | DensityOperator, part: "Partition") -> float:
-    """S(rho_alpha) + S(rho_beta) - S(rho) across the given bipartition."""
-    part.check_size(state.n_qubits)
-    s_a, s_b, s = _subset_entropies(state, [part.alpha, part.beta, range(state.n_qubits)])
-    return float(clamp_nonneg(s_a + s_b - s))
+    """S(rho_alpha) + S(rho_beta) - S(rho) across the given bipartition:
+    the external correlation of the one-row case of `partitions.decompose_rows`."""
+    from .partitions import decompose_rows  # partitions imports this module
+
+    return float(decompose_rows(state, [part]).external[0])
 
 
 def max_total_correlation(n_qubits: int) -> float:

@@ -125,8 +125,8 @@ def decompose_rows(
     """`decompose` of each partition, with its Araki-Lieb slacks, as arrays.
 
     The entropies come from one `_cut_spectra` call: the single-qubit
-    entropies, S(alpha) of every partition, an operator's S(beta) (a pure
-    state's is S(alpha), the same memo entry) and S of the whole state. Per
+    entropies, S(alpha) and S(beta) of every partition and S of the whole
+    state. (A pure state's S(beta) is the memo entry of S(alpha).) Per
     row, internal = the side's single-qubit entropies minus its entropy,
     external = S(alpha) + S(beta) - S, and the slacks are S - |S(alpha) -
     S(beta)| and S(alpha) + S(beta) - S. Raises PartitionError if a
@@ -138,11 +138,8 @@ def decompose_rows(
         part.check_size(n)
     alphas = [part.alpha for part in parts]
     betas = [part.beta for part in parts]
-    pure = isinstance(state, PureState)
-    singles = [(q,) for q in range(n)]
-    s = _subset_entropies(state, [*singles, *alphas, *([] if pure else betas), range(n)])
-    s_k, s_alpha, s_total = s[:n], s[n : n + m], s[-1]
-    s_beta = s_alpha if pure else s[n + m : n + 2 * m]
+    s = _subset_entropies(state, [*((q,) for q in range(n)), *alphas, *betas, range(n)])
+    s_k, s_alpha, s_beta, s_total = s[:n], s[n : n + m], s[n + m : n + 2 * m], s[-1]
     s_k_alpha = _side_sums(s_k, alphas)
     s_k_beta = _side_sums(s_k, betas)
     internal_alpha = clamp_nonneg(s_k_alpha - s_alpha)

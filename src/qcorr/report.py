@@ -170,7 +170,7 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
             )
         amps[i] = complex(pair[0], pair[1])
     nrm2 = float(np.vdot(amps, amps).real)
-    if abs(nrm2 - 1.0) > FILE_NORM_TOL:
+    if not abs(nrm2 - 1.0) <= FILE_NORM_TOL:  # also a NaN from overflow
         raise NotNormalizedError(
             f"{path}: squared norm is {nrm2!r}, outside 1 +/- {FILE_NORM_TOL}"
         )

@@ -42,8 +42,9 @@ class PureState:
     `amplitudes` is a read-only copy, so the Schmidt cuts that
     `correlation._cut_spectra` memoises in `_cuts` cannot go stale. That
     memo holds one (probabilities, entropy) entry per cut, keyed by the bit
-    mask of the cut's smaller side; the engine validates every subset it is
-    asked for, hit or miss.
+    mask of the cut's smaller side; a subset is checked where it enters the
+    library, not in the engine. A squared norm off 1 by more than
+    `NORM_TOL`, or NaN from overflow, raises NotNormalizedError.
     """
 
     n_qubits: int
@@ -64,7 +65,7 @@ class PureState:
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
         nrm2 = float(np.vdot(amps, amps).real)
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not abs(nrm2 - 1.0) <= NORM_TOL:  # also a NaN from overflow
             raise NotNormalizedError(
                 f"squared norm is {nrm2!r}, outside 1 +/- {NORM_TOL}"
             )

@@ -184,6 +184,15 @@ def test_bool_state_file_exits_2(tmp_path, capsys):
     assert "n_qubits" in err
 
 
+def test_state_file_whose_norm_overflows_exits_2(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text('{"n_qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [1e308, 1e308]]}')
+    code, out, err = run(capsys, "sweep", "--state", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert f"{path}: squared norm is nan" in err
+
+
 def test_multi_letter_subset_token_exits_2(capsys):
     code, out, err = run(capsys, "entropy", "--state", "ghz:4", "--subset", "bc,d")
     assert code == 2

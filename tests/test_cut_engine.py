@@ -20,6 +20,7 @@ from qcorr import (
     araki_lieb_check,
     decompose,
     enumerate_bipartitions,
+    index_of_correlation,
     is_maximally_correlated_purification,
     is_product_across,
     permute_qubits,
@@ -153,6 +154,7 @@ def test_rows_are_the_one_row_calls(dense):
             rows.external[i],
             rows.total[i],
         )
+        assert index_of_correlation(state, part) == d.external
         assert (al.ok, al.lower_slack, al.upper_slack) == (
             rows.araki_lieb_ok[i],
             rows.lower_slack[i],

@@ -4,15 +4,18 @@ The rows of `analyze`/`sweep` come from `decompose_rows` of all the
 partitions at once; the single-qubit entropies, each row's product flag and
 the total from one more `_cut_spectra` call. A `PureState` memoises the
 Schmidt probabilities of each cut once, under the bit mask of its smaller
-side, and `_cut_spectra` fills that memo in one batched pass and validates
-every subset, so each cut is solved once. These tests count the matrices
-given to each solver, the engine's entries and the memo's entries, check
-that the memo cannot go stale or hide a bad subset, and check the rows
-against the dense library calls and the paper's identities.
+side, and `_cut_spectra` fills that memo in one batched pass, so each cut
+is solved once. The engine trusts its subsets: each is checked where it
+enters the library, by `Partition` or `von_neumann_entropy`. These tests
+count the matrices given to each solver, the engine's entries, its subset
+checks and the memo's entries, check that the memo cannot go stale or hide
+a bad subset, and check the rows against the dense library calls and the
+paper's identities.
 """
 
 import dataclasses
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -112,8 +115,14 @@ def test_amplitudes_are_read_only():
 def test_bad_subsets_raise_after_their_set_is_memoised(bad):
     state = ghz(4)
     sweep(state)
-    with pytest.raises(IndexError):
-        von_neumann_entropy(state, bad)
+    rho = to_density(state)
+    for k in range(5):
+        for subset in combinations(range(4), k):
+            von_neumann_entropy(rho, subset)
+    assert len(rho._cuts) == 16  # every subset of the operator
+    for memoised in (state, rho):
+        with pytest.raises(IndexError):
+            von_neumann_entropy(memoised, bad)
 
 
 def test_a_sweep_memoises_each_cut_once():
@@ -144,9 +153,8 @@ def test_a_sweep_enters_the_engine_twice(monkeypatch):
     m = len(sweep(state).entries)
     assert m == 2 ** (n - 1) - 1
     assert calls["engine"] <= 2, calls
-    # each engine call checks the n single qubits, the m alphas and the
-    # whole register; building each Partition checks it once more
-    assert calls["engine checks"] <= 2 * (n + m + 1)
+    # building each Partition checks it; the engine trusts what it is handed
+    assert calls["engine checks"] == 0
     assert calls["partition checks"] == m
 
 

@@ -169,3 +169,6 @@ def test_bell_product_density_equals_kron_of_pairs():
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(NotNormalizedError):
         PureState(1, np.array([1.0, 1.0], dtype=complex))
+    # finite amplitudes whose squared norm overflows: vdot gives nan
+    with pytest.raises(NotNormalizedError, match="nan"):
+        PureState(2, np.array([1.0, 0.0, 0.0, 1e308 + 1e308j]))
