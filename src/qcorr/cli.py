@@ -143,6 +143,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
+    if args.max_qubits is not None and args.max_qubits < 1:
+        print(f"error: --max-qubits must be at least 1, got {args.max_qubits}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except SizeCapError as e:

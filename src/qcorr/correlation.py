@@ -9,6 +9,7 @@ S(rho_alpha) + S(rho_beta) - S(rho).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -112,10 +113,20 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     matrices M M^dagger, of dimension 2^k, and one `eigvalsh`; a cut whose
     tail (all but the largest eigenvalue) sums below `GRAM_TAIL_FLOOR` is
     solved again by SVD. At the half cut a Gram matrix is no smaller than M,
-    so each stack goes to one SVD.
+    so each stack goes to one SVD; a half cut of more than one stack has its
+    stacks solved by a thread per CPU in the affinity mask, in side order.
     """
     k = len(sides[0])
     per_stack = max(1, MAX_STACK_AMPLITUDES >> n)
+    if 2 * k == n and len(sides) > per_stack:
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        if cpus > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            stacks = [sides[start : start + per_stack] for start in range(0, len(sides), per_stack)]
+            with ThreadPoolExecutor(cpus) as pool:
+                return np.concatenate(list(pool.map(lambda s: _level_probs(amps, n, s), stacks)))
     out = []
     for start in range(0, len(sides), per_stack):
         mats = _amplitude_matrices(amps, n, sides[start : start + per_stack])
@@ -147,8 +158,9 @@ def _cut_spectra(
     Schmidt probabilities (descending), so its key is the mask of the smaller
     side; at the half cut, of the side holding qubit 0; for the whole
     register, 0, with the one probability |psi|^2. The missing cuts are
-    solved one size of the smaller side at a time (`_level_probs`); no memo
-    entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
+    solved one size of the smaller side at a time (`_level_probs`), largest
+    first, so the half cut's threads never compete with the BLAS threads of
+    a Gram product; no memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
     """
     n, memo = state.n_qubits, state._cuts
     pure = isinstance(state, PureState)
@@ -166,7 +178,7 @@ def _cut_spectra(
         levels: dict[int, list[int]] = {}
         for key in missing:
             levels.setdefault(key.bit_count(), []).append(key)
-        for k, level in levels.items():
+        for k, level in sorted(levels.items(), reverse=True):
             if k == 0:
                 probs = np.array([[float(np.vdot(state.amplitudes, state.amplitudes).real)]])
             else:

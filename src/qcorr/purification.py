@@ -56,11 +56,18 @@ def purify(rho: DensityOperator) -> PurificationResult:
     2^n x 2^k table of purified amplitudes (system index by ancilla index):
     that is the purification's reduction onto the system, computed without
     the 4^(n+k)-entry density operator of the purified state.
+
+    The rank is `spectral_rank(rho)`, so `purify` and `min_purifying_qubits`
+    always agree: an operator whose spectrum is not yet cached gets eigh's
+    eigenvalues as its spectrum, at no extra solve.
     """
     n = rho.n_qubits
     values, vectors = np.linalg.eigh(_symmetrize(rho.matrix))
-    kept = values > RANK_THRESHOLD
-    values, vectors = values[kept], vectors[:, kept]
+    if "spectrum" not in vars(rho):  # fill the cached property with eigh's values
+        values.setflags(write=False)
+        vars(rho)["spectrum"] = values
+    first = len(values) - spectral_rank(rho)
+    values, vectors = values[first:], vectors[:, first:]
     mags = np.abs(vectors)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     pivot = vectors[lead, np.arange(len(values))]

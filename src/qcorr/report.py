@@ -27,7 +27,7 @@ from .correlation import (
     correlation_bounds,
     von_neumann_entropy,
 )
-from .errors import NotNormalizedError, SpecParseError, StateFileError
+from .errors import NotNormalizedError, SizeCapError, SpecParseError, StateFileError
 from .partitions import Partition, _product_flag, decompose_rows, enumerate_bipartitions
 from .states import (
     NORM_TOL,
@@ -84,8 +84,10 @@ class CorrelationReport:
 def parse_state_spec(text: str) -> StateSpec:
     """Parse 'kind:parameter' into a StateSpec.
 
-    Raises SpecParseError (with offset) for malformed input; an odd total
-    for 'ue' is a ValueError since the syntax itself is fine.
+    A parameter other than a file path is ASCII digits only. Raises
+    SpecParseError (with the offset of the first bad character) for
+    malformed input; an odd total for 'ue' is a ValueError since the syntax
+    itself is fine, and a count too long for int() is a SizeCapError.
     """
     if not text:
         raise SpecParseError("empty state spec", 0)
@@ -100,12 +102,17 @@ def parse_state_spec(text: str) -> StateSpec:
         if not tail:
             raise SpecParseError("missing file path", len(head) + 1)
         return StateSpec(head, tail)
-    try:
-        value = int(tail)
-    except ValueError:
+    bad = len(tail) - len(tail.lstrip(string.digits))  # offset of the first non-digit
+    if not tail or bad < len(tail):
         raise SpecParseError(
-            f"parameter for {head!r} must be an integer, got {tail!r}",
-            len(head) + 1,
+            f"parameter for {head!r} must be digits 0-9, got {tail!r}", len(head) + 1 + bad
+        )
+    digits = tail.lstrip("0") or "0"
+    try:
+        value = int(digits)
+    except ValueError:  # more digits than int() converts: larger than any cap
+        raise SizeCapError(
+            f"parameter for {head!r} has {len(digits)} digits, above the size cap"
         ) from None
     if head == "ue" and value % 2 != 0:
         raise ValueError(

@@ -138,6 +138,35 @@ def test_huge_named_state_hits_the_size_cap(capsys, spec):
     assert err == f"error: {n} qubits exceeds the size cap of 12 (dense dimension 2^{n})\n"
 
 
+@pytest.mark.parametrize(
+    "spec, position", [("ghz:4_0", 5), ("ghz: 4", 4), ("ghz:+4", 4), ("ghz:\u0664", 4)]
+)
+def test_spec_parameter_other_than_ascii_digits_exits_2(capsys, spec, position):
+    code, out, err = run(capsys, "entropy", "--state", spec, "--subset", "a")
+    assert code == 2
+    assert out == ""
+    tail = spec.split(":")[1]
+    want = f"parameter for 'ghz' must be digits 0-9, got {tail!r} (at position {position})"
+    assert err == f"error: {want}\n"
+
+
+def test_spec_count_too_long_for_int_exits_3(capsys):
+    code, out, err = run(capsys, "entropy", "--state", "ghz:" + "9" * 5000, "--subset", "a")
+    assert code == 3
+    assert out == ""
+    assert err == "error: parameter for 'ghz' has 5000 digits, above the size cap\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_max_qubits_below_one_exits_2(capsys, cap):
+    code, out, err = run(
+        capsys, "entropy", "--state", "ghz:4", "--subset", "a", "--max-qubits", cap
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-qubits must be at least 1, got {cap}\n"
+
+
 def test_huge_state_file_hits_the_size_cap_before_reading_amplitudes(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"n_qubits": 100000000, "amplitudes": []}')

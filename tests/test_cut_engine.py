@@ -6,7 +6,14 @@ entropies but leave an exact product's tail at rounding noise; those cuts
 must be solved again by SVD before they reach the memo. These tests check
 every cut's entropy against the brute-force oracle in `helpers`, every
 product flag against the SVD route, and the rows against the one-row calls.
+A half cut of more than one stack is solved on a thread per CPU; those tests
+check its memo against one serial SVD, bit for bit, and which threads run it.
 """
+
+import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +36,7 @@ from qcorr import (
 )
 from qcorr.correlation import GRAM_TAIL_FLOOR, _cut_spectra
 from qcorr.partitions import _product_flag, decompose_rows
+from qcorr.states import _amplitude_matrices
 from helpers import (
     brute_pure_reduced,
     entropy_oracle,
@@ -178,3 +186,100 @@ def test_rows_check_every_partition_and_the_identity(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"b\|acd"):
         decompose_rows(state, [good, Partition((1,), (0, 2, 3))])
 
+
+@pytest.fixture
+def svd_threads(monkeypatch):
+    """The `threading.get_ident()` of each call to `np.linalg.svd`."""
+    idents = []
+
+    def recording(a, *args, _svd=np.linalg.svd, **kwargs):
+        idents.append(threading.get_ident())
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return idents
+
+
+def _half_cut_memo(state):
+    """The sides of a state's memoised half cuts, in memo order, and their
+    probabilities."""
+    n = state.n_qubits
+    keys = [key for key in state._cuts if 2 * key.bit_count() == n]
+    sides = [tuple(q for q in range(n) if key >> q & 1) for key in keys]
+    return sides, np.array([state._cuts[key][0] for key in keys])
+
+
+def _check_half_cut_memo(n, seed):
+    """Sweep a random state; its half-cut memo must be one serial SVD's."""
+    amps = random_pure(np.random.default_rng(seed), n)
+    state = PureState(n, amps)
+    sweep(state)
+    sides, probs = _half_cut_memo(state)
+    assert len(sides) == math.comb(n, n // 2) // 2
+    want = np.linalg.svd(_amplitude_matrices(amps, n, sides), compute_uv=False) ** 2
+    assert probs.tobytes() == want.tobytes()
+
+
+# 10 qubits: 126 half cuts in 2 stacks of 64; 12 qubits: 462 in 29 stacks of 16.
+@pytest.mark.parametrize("n", [10, 12])
+def test_half_cut_memo_is_one_serial_svd(n):
+    _check_half_cut_memo(n, 600 + n)
+
+
+def test_more_workers_than_cores_keep_the_memo_serial(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_half_cut_memo(12, 640)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+@pytest.mark.parametrize("n", [10, 12])
+def test_half_cut_stacks_are_solved_on_several_threads(svd_threads, n):
+    sweep(PureState(n, random_pure(np.random.default_rng(610 + n), n)))
+    assert len(set(svd_threads)) > 1
+
+
+def test_one_cpu_solves_on_the_calling_thread(svd_threads, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def no_start(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    sweep(PureState(12, random_pure(np.random.default_rng(620), 12)))
+    assert set(svd_threads) == {threading.get_ident()}
+
+
+def test_a_worker_error_leaves_the_pool_and_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = threading.get_ident()
+
+    def failing(a, *args, _svd=np.linalg.svd, **kwargs):
+        if threading.get_ident() != caller:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        sweep(PureState(10, random_pure(np.random.default_rng(630), 10)))
+    assert threading.active_count() == before
+
+
+def test_levels_are_solved_largest_first(monkeypatch):
+    # The half cut runs before any Gram product, whose BLAS threads would
+    # otherwise still be spinning while the half cut's pool works.
+    rows = []
+    for name in ("svd", "eigvalsh"):
+
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            rows.append(np.shape(a)[-2])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    sweep(PureState(6, random_pure(np.random.default_rng(650), 6)))
+    assert rows == [8, 4, 2]

@@ -22,7 +22,12 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from helpers import random_density, reference_purification_table, tilted_four_qubit
+from helpers import (
+    random_density,
+    random_unitary,
+    reference_purification_table,
+    tilted_four_qubit,
+)
 from qcorr import PureState
 
 LN2 = math.log(2)
@@ -191,3 +196,31 @@ def test_purify_breaks_full_ties_by_the_entries_as_the_reference_does(monkeypatc
     rho = validate_density(np.eye(4) / 4, 2)
     got = purify(rho).purified.amplitudes
     assert got.tobytes() == reference_purification_table(rho.matrix).tobytes()
+
+
+def _fifth_eigenvalue_at_the_threshold(rng):
+    """A 3-qubit operator of rank 5 whose smallest nonzero eigenvalue lies
+    within 1e-15 of `RANK_THRESHOLD`, where eigh and eigvalsh may disagree."""
+    values = np.zeros(8)
+    values[4] = 1e-10 * (1 + rng.uniform(-1e-5, 1e-5))
+    values[:4] = rng.random(4)
+    values[:4] *= (1 - values[4]) / values[:4].sum()
+    u = random_unitary(rng, 8)
+    return (u * values) @ u.conj().T
+
+
+@pytest.mark.parametrize("spectrum_first", [False, True])
+def test_purify_and_min_purifying_qubits_share_one_rank(spectrum_first):
+    # Four of these 600 seeds (169, 177, 487, 534) put eigh and eigvalsh on
+    # opposite sides of the threshold, so a rank from each gives 2 ancillas
+    # against 3.
+    for seed in range(600):
+        rho = DensityOperator(3, _fifth_eigenvalue_at_the_threshold(np.random.default_rng(seed)))
+        if spectrum_first:
+            want = min_purifying_qubits(rho)
+            result = purify(rho)
+        else:
+            result = purify(rho)
+            want = min_purifying_qubits(rho)
+        assert result.ancilla_qubits == want, seed
+        assert result.purified.n_qubits == 3 + want, seed

@@ -10,6 +10,7 @@ from qcorr import (
     NotNormalizedError,
     PureState,
     Region,
+    SizeCapError,
     SpecParseError,
     StateFileError,
     analyze,
@@ -60,6 +61,31 @@ def test_parse_state_spec_errors_carry_position():
         parse_state_spec("ghz4")
     with pytest.raises(SpecParseError):
         parse_state_spec("")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("ghz:4_0", 5),
+        ("ghz: 4", 4),
+        ("ghz:+4", 4),
+        ("ghz:\u0664", 4),  # ARABIC-INDIC DIGIT FOUR, which int() reads as 4
+        ("ghz:-3", 4),
+        ("ghz:4 ", 5),
+        ("ghz:", 4),
+        ("bellpairs:3x", 11),
+    ],
+)
+def test_spec_parameters_are_ascii_digits(text, position):
+    with pytest.raises(SpecParseError) as err:
+        parse_state_spec(text)
+    assert err.value.position == position
+
+
+def test_spec_count_too_long_for_int_is_over_the_size_cap():
+    with pytest.raises(SizeCapError, match="5000 digits"):
+        parse_state_spec("ghz:" + "9" * 5000)
+    assert parse_state_spec("ghz:" + "0" * 5000 + "4").parameter == 4
 
 
 def test_load_state_file_plus_state(tmp_path):
