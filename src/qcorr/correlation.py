@@ -109,12 +109,14 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     all of one size k, are `sides`; one row per side.
 
     The amplitude matrices are stacked at most `MAX_STACK_AMPLITUDES` at a
-    time. Below the half cut (2k < n) each stack goes through its Gram
-    matrices M M^dagger, of dimension 2^k, and one `eigvalsh`; a cut whose
-    tail (all but the largest eigenvalue) sums below `GRAM_TAIL_FLOOR` is
-    solved again by SVD. At the half cut a Gram matrix is no smaller than M,
-    so each stack goes to one SVD; a half cut of more than one stack has its
-    stacks solved by a thread per CPU in the affinity mask, in side order.
+    time, in the dtype of `amps`. Below the half cut (2k < n), and at the
+    half cut of real amplitudes, each stack goes through its Gram matrices
+    M M^dagger, of dimension 2^k, and one `eigvalsh`; a cut whose tail (all
+    but the largest eigenvalue) sums below `GRAM_TAIL_FLOOR` is solved again
+    by SVD. At a complex half cut a Gram matrix is no smaller than M and no
+    faster to solve, so each stack goes to one SVD. A half cut of more than
+    one stack has its stacks solved by a thread per CPU in the affinity
+    mask, in side order.
     """
     k = len(sides[0])
     per_stack = max(1, MAX_STACK_AMPLITUDES >> n)
@@ -130,7 +132,7 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     out = []
     for start in range(0, len(sides), per_stack):
         mats = _amplitude_matrices(amps, n, sides[start : start + per_stack])
-        if 2 * k == n:
+        if 2 * k == n and np.iscomplexobj(mats):
             sv = np.linalg.svd(mats, compute_uv=False)
             out.append(sv * sv)
             continue
@@ -161,6 +163,8 @@ def _cut_spectra(
     solved one size of the smaller side at a time (`_level_probs`), largest
     first, so the half cut's threads never compete with the BLAS threads of
     a Gram product; no memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
+    A pure state whose amplitudes have no nonzero imaginary part is solved
+    in float64, every other one in complex128.
     """
     n, memo = state.n_qubits, state._cuts
     pure = isinstance(state, PureState)
@@ -178,12 +182,15 @@ def _cut_spectra(
         levels: dict[int, list[int]] = {}
         for key in missing:
             levels.setdefault(key.bit_count(), []).append(key)
+        amps = state.amplitudes
+        if levels and not amps.imag.any():
+            amps = amps.real.copy()  # a real state is solved in float64
         for k, level in sorted(levels.items(), reverse=True):
             if k == 0:
                 probs = np.array([[float(np.vdot(state.amplitudes, state.amplitudes).real)]])
             else:
                 sides = [tuple(q for q in range(n) if key >> q & 1) for key in level]
-                probs = _level_probs(state.amplitudes, n, sides)
+                probs = _level_probs(amps, n, sides)
             probs.setflags(write=False)
             memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
     else:
@@ -262,6 +269,14 @@ def correlation_bounds(subsystem_entropies: Sequence[float]) -> BoundsReport:
     )
 
 
+def _regions(values, inf_caps) -> np.ndarray:
+    """`classify_region` of each value against the inf of its caps,
+    elementwise, as an array of `Region`s; nothing is validated."""
+    caps = np.asarray(inf_caps)
+    above = 2 - (values <= caps + REGION_TOL).astype(np.intp) - (values <= 2.0 * caps + REGION_TOL)
+    return np.array(tuple(Region), dtype=object)[above]  # NaN: Unattainable
+
+
 def classify_region(value: float, max_entropies: Sequence[float]) -> Region:
     """Label a correlation strength against the subsystem entropy caps.
 
@@ -276,12 +291,7 @@ def classify_region(value: float, max_entropies: Sequence[float]) -> Region:
         raise ValueError("maximum entropies must be > 0")
     if value < 0.0:
         raise ValueError(f"correlation value must be >= 0, got {value}")
-    inf_cap = min(caps)
-    if value <= inf_cap + REGION_TOL:
-        return Region.CLASSICAL
-    if value <= 2.0 * inf_cap + REGION_TOL:
-        return Region.QUANTUM
-    return Region.UNATTAINABLE
+    return _regions(value, min(caps))
 
 
 def araki_lieb_check(

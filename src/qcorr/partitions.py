@@ -7,7 +7,6 @@ them; the total is invariant under the choice of cut, the parts are not.
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass
 from itertools import combinations
@@ -53,6 +52,13 @@ class Partition:
         object.__setattr__(self, "beta", qubits[len(a) :])
 
     @classmethod
+    def _of_checked(cls, alpha: tuple[int, ...], beta: tuple[int, ...]) -> "Partition":
+        """A partition of sides known to be valid, built without the checks."""
+        part = object.__new__(cls)
+        part.__dict__.update(alpha=alpha, beta=beta)
+        return part
+
+    @classmethod
     def complement(cls, alpha: Iterable[int], n_qubits: int) -> "Partition":
         """Build a partition from one side; beta is the sorted complement."""
         a = tuple(alpha)
@@ -79,10 +85,10 @@ class Partition:
         """
         letters = string.ascii_lowercase
         if self.n_qubits > len(letters):
-            side = lambda qs: ",".join(str(q) for q in qs)
+            sep, name = ",", str
         else:
-            side = lambda qs: "".join(letters[q] for q in qs)
-        return f"{side(self.alpha)}|{side(self.beta)}"
+            sep, name = "", letters.__getitem__
+        return f"{sep.join(map(name, self.alpha))}|{sep.join(map(name, self.beta))}"
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,8 @@ def enumerate_bipartitions(n_qubits: int, size_alpha: int | None = None) -> list
     Each unordered bipartition appears exactly once; all 2**(n-1) - 1 of them
     by default, ordered by |alpha| then lexicographically. With `size_alpha`
     given, cuts with a side of that size are returned (the qubit-0 side may
-    be the complement, so |alpha| is size_alpha or n - size_alpha).
+    be the complement, so |alpha| is size_alpha or n - size_alpha). The
+    sides are valid by construction, so they are not checked again.
     """
     if n_qubits < 2:
         raise ValueError(f"need at least 2 qubits to bipartition, got {n_qubits}")
@@ -233,14 +240,20 @@ def enumerate_bipartitions(n_qubits: int, size_alpha: int | None = None) -> list
             )
         sizes = sorted({size_alpha, n_qubits - size_alpha})
     out = []
+    others = range(1, n_qubits)
     for k in sizes:
-        for rest in combinations(range(1, n_qubits), k - 1):
-            out.append(Partition.complement((0, *rest), n_qubits))
+        # Complementing reverses lexicographic order among subsets of one
+        # size, so the betas are the (n - k)-subsets in reverse order.
+        betas = reversed(list(combinations(others, n_qubits - k)))
+        for rest, beta in zip(combinations(others, k - 1), betas):
+            out.append(Partition._of_checked((0, *rest), beta))
     return out
 
 
-def _product_flag(probs: np.ndarray, tol: float = 1e-9) -> bool:
-    """Product-across check for a pure state from its Schmidt probabilities.
+def _product_flags(spectra: Sequence[np.ndarray], tol: float = 1e-9) -> np.ndarray:
+    """Product-across check for pure states from their Schmidt probabilities,
+    one flag per spectrum; spectra of one length are stacked and checked at
+    once.
 
     A pure state is a product across the cut iff its Schmidt rank is 1. With
     normalised probabilities p (descending) and tail = p[1] + p[2] + ...,
@@ -248,9 +261,19 @@ def _product_flag(probs: np.ndarray, tol: float = 1e-9) -> bool:
     sqrt(2 tail) to first order in tail. The tail is summed directly rather
     than as 1 - p[0], which would cancel.
     """
-    p = probs / float(probs.sum())
-    tail = float(p[1:].sum())
-    return math.sqrt(2.0 * tail) <= tol
+    flags = np.empty(len(spectra), dtype=bool)
+    lengths = np.array([len(probs) for probs in spectra])
+    for length in set(lengths.tolist()):
+        rows = np.flatnonzero(lengths == length)
+        p = np.stack([spectra[i] for i in rows])
+        p = p / p.sum(axis=1, keepdims=True)
+        flags[rows] = np.sqrt(2.0 * p[:, 1:].sum(axis=1)) <= tol
+    return flags
+
+
+def _product_flag(probs: np.ndarray, tol: float = 1e-9) -> bool:
+    """`_product_flags` of one spectrum."""
+    return bool(_product_flags([probs], tol)[0])
 
 
 def is_product_across(

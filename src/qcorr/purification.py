@@ -72,10 +72,18 @@ def purify(rho: DensityOperator) -> PurificationResult:
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     pivot = vectors[lead, np.arange(len(values))]
     vectors = vectors / (pivot / np.abs(pivot))
-    # Rows re_0, im_0, re_1, im_1, ... reversed, as np.lexsort's last key is
-    # its primary one: the order is -value, then lead, then the entries.
-    entries = np.stack([np.round(vectors.real, 12), np.round(vectors.imag, 12)], axis=1)
-    order = np.lexsort([*entries.reshape(-1, len(values))[::-1], lead, -values])
+    # The order is -value, then lead, then the rounded entries, which are
+    # read only within runs of columns tied on both (np.lexsort is stable;
+    # its last key is its primary one).
+    order = np.lexsort([lead, -values])
+    keys = np.stack([values[order], lead[order]])
+    tied = np.concatenate([[0], np.all(keys[:, 1:] == keys[:, :-1], axis=0), [0]])
+    edges = np.flatnonzero(np.diff(tied))  # the first and last column of each run
+    for start, stop in zip(edges[0::2], edges[1::2] + 1):
+        run = order[start:stop]
+        tie = vectors[:, run]  # keys: rows re_0, im_0, re_1, im_1, ... reversed
+        entries = np.stack([np.round(tie.real, 12), np.round(tie.imag, 12)], axis=1)
+        order[start:stop] = run[np.lexsort(entries.reshape(-1, len(run))[::-1])]
     values, vectors = values[order], vectors[:, order]
 
     rank = len(values)

@@ -22,13 +22,13 @@ from .correlation import (
     BoundsReport,
     Region,
     _cut_spectra,
+    _regions,
     clamp_nonneg,
-    classify_region,
     correlation_bounds,
     von_neumann_entropy,
 )
 from .errors import NotNormalizedError, SizeCapError, SpecParseError, StateFileError
-from .partitions import Partition, _product_flag, decompose_rows, enumerate_bipartitions
+from .partitions import Partition, _product_flags, decompose_rows, enumerate_bipartitions
 from .states import (
     NORM_TOL,
     PureState,
@@ -285,6 +285,8 @@ def parse_partition_list(text: str, n_qubits: int) -> list[Partition]:
 
 def parse_subset(text: str, n_qubits: int) -> tuple[int, ...]:
     """Parse a qubit subset like 'ab' or '0,2'; must be nonempty and in range."""
+    if not text.strip():
+        raise SpecParseError("empty subset", 0)
     try:
         return _check_subset(_parse_side(text, 0), n_qubits)
     except IndexError as e:
@@ -306,29 +308,24 @@ def _analyze_pure(
     n = state.n_qubits
     cuts = _cut_spectra(state, [*((q,) for q in range(n)), *(p.alpha for p in parts), range(n)])
     s_k = [entropy for _, entropy in cuts[:n]]
-    entries = []
-    columns = rows.internal_alpha.tolist(), rows.internal_beta.tolist(), rows.external.tolist()
-    for part, ia, ib, ext, (probs, _) in zip(parts, *columns, cuts[n:-1]):
-        a, b = len(part.alpha), len(part.beta)
-        entries.append(
-            PartitionAnalysis(
-                partition=part.label(),
-                internal_alpha=ia,
-                internal_beta=ib,
-                external=ext,
-                region_internal_alpha=classify_region(ia, [LN2] * a),
-                region_internal_beta=classify_region(ib, [LN2] * b),
-                region_external=classify_region(ext, [a * LN2, b * LN2]),
-                product_across=_product_flag(probs),
-            )
-        )
+    # `classify_region` of every row at once; an internal part's caps are
+    # ln 2 per qubit, the external part's |alpha| ln 2 and |beta| ln 2.
+    sizes = np.array([len(part.alpha) for part in parts])
+    values = [rows.internal_alpha, rows.internal_beta, rows.external]
+    caps = [LN2, LN2, np.minimum(sizes, n - sizes) * LN2]
+    regions = [_regions(*column).tolist() for column in zip(values, caps)]
+    flags = _product_flags([probs for probs, _ in cuts[n:-1]]).tolist()
+    entries = tuple(
+        PartitionAnalysis(part.label(), *row)
+        for part, *row in zip(parts, *(v.tolist() for v in values), *regions, flags)
+    )
     return CorrelationReport(
         n_qubits=n,
         units=units,
         total_nats=float(clamp_nonneg(sum(s_k) - cuts[-1][1])),
         subsystem_entropies=tuple(s_k),
         bounds=replace(correlation_bounds(s_k), araki_lieb_ok=bool(rows.araki_lieb_ok.all())),
-        entries=tuple(entries),
+        entries=entries,
     )
 
 

@@ -227,3 +227,18 @@ def test_multi_letter_subset_token_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "bad qubit token 'bc'" in err
+
+
+@pytest.mark.parametrize("command", ["entropy", "purify"])
+@pytest.mark.parametrize("subset", ["", " ", "\t "])
+def test_blank_subset_is_an_empty_subset(capsys, command, subset):
+    code, out, err = run(capsys, command, "--state", "ghz:4", "--subset", subset)
+    assert code == 2
+    assert out == ""
+    assert err == "error: empty subset (at position 0)\n"
+
+
+def test_empty_partition_side_keeps_its_message(capsys):
+    code, _, err = run(capsys, "analyze", "--state", "ghz:4", "--partition", "ab|")
+    assert code == 2
+    assert err == "error: empty partition side (at position 3)\n"

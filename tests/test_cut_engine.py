@@ -8,6 +8,8 @@ every cut's entropy against the brute-force oracle in `helpers`, every
 product flag against the SVD route, and the rows against the one-row calls.
 A half cut of more than one stack is solved on a thread per CPU; those tests
 check its memo against one serial SVD, bit for bit, and which threads run it.
+A pure state with real amplitudes is solved in float64; those tests check it
+against the same oracle and flags, and which dtype reaches the solvers.
 """
 
 import math
@@ -25,14 +27,19 @@ from qcorr import (
     PartitionError,
     PureState,
     araki_lieb_check,
+    bell_product,
     decompose,
     enumerate_bipartitions,
+    ghz,
+    ghz_block_product,
     index_of_correlation,
     is_maximally_correlated_purification,
     is_product_across,
     permute_qubits,
     purify,
     sweep,
+    to_density,
+    uniform_entangled,
 )
 from qcorr.correlation import GRAM_TAIL_FLOOR, _cut_spectra
 from qcorr.partitions import _product_flag, decompose_rows
@@ -49,18 +56,24 @@ from test_report_paths import solved  # noqa: F401  (fixture)
 ORACLE_TOL = 1e-12
 
 
-def _sparse_pure(rng, n, keep):
+def _real_pure(rng, n):
+    """A random pure state with real amplitudes."""
+    amps = rng.standard_normal(1 << n)
+    return amps / np.linalg.norm(amps)
+
+
+def _sparse_pure(rng, n, keep, make=random_pure):
     """A random pure state with all but about `keep` of its amplitudes zero."""
-    amps = random_pure(rng, n)
+    amps = make(rng, n)
     amps[rng.random(1 << n) >= keep] = 0.0
     if not np.any(amps):
         amps[int(rng.integers(1 << n))] = 1.0
     return amps / np.linalg.norm(amps)
 
 
-def _shuffled_product(rng, n, k):
+def _shuffled_product(rng, n, k, make=random_pure):
     """A random product of k and n - k qubits, qubits shuffled; and the factor."""
-    amps = np.kron(random_pure(rng, k), random_pure(rng, n - k))
+    amps = np.kron(make(rng, k), make(rng, n - k))
     perm = [int(q) for q in rng.permutation(n)]
     return permute_qubits(PureState(n, amps), perm), frozenset(perm[:k])
 
@@ -122,6 +135,79 @@ def test_twelve_qubit_random_products_are_flagged_after_a_sweep(k):
         if entry.product_across
     ]
     assert flagged in ([factor], [frozenset(range(12)) - factor])
+
+
+@pytest.fixture
+def solved_dtypes(monkeypatch):
+    """The dtype of each array given to `svd` and to `eigvalsh`."""
+    dtypes = []
+    for name in ("svd", "eigvalsh"):
+
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_every_cut_of_a_real_state_matches_the_oracle(n, solved_dtypes):
+    rng = np.random.default_rng(700 + n)
+    product, factor = _shuffled_product(rng, n, (n + 1) // 2, _real_pure)
+    states = [
+        PureState(n, _real_pure(rng, n)),
+        PureState(n, _sparse_pure(rng, n, 0.5, _real_pure)),
+        product,
+    ]
+    for state in states:
+        sweep(PureState(n, state.amplitudes))
+    assert set(solved_dtypes) == {np.dtype(np.float64)}
+    for state in states:
+        _check_every_cut(state)
+    assert is_product_across(product, Partition.complement(sorted(factor), n))
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_twelve_qubit_real_products_are_flagged_after_a_sweep(k, solved_dtypes):
+    state, factor = _shuffled_product(np.random.default_rng(510 + k), 12, k, _real_pure)
+    report = sweep(state)
+    flagged = [
+        frozenset(part.alpha)
+        for part, entry in zip(enumerate_bipartitions(12), report.entries)
+        if entry.product_across
+    ]
+    assert flagged in ([factor], [frozenset(range(12)) - factor])
+    assert set(solved_dtypes) == {np.dtype(np.float64)}
+
+
+def test_a_real_half_cut_takes_gram_spectra(solved):
+    sweep(PureState(6, _real_pure(np.random.default_rng(660), 6)))
+    assert sorted(solved["eigvalsh"]) == [(2, 2)] * 6 + [(4, 4)] * 15 + [(8, 8)] * 10
+    assert solved["svd"] == []
+
+
+@pytest.mark.parametrize(
+    "state",
+    [ghz(6), uniform_entangled(3), bell_product(3), ghz_block_product(3)],
+    ids=["ghz", "ue", "bellpairs", "ghzblocks"],
+)
+def test_real_named_states_are_solved_in_float64(state, solved_dtypes):
+    sweep(state)
+    assert set(solved_dtypes) == {np.dtype(np.float64)}
+
+
+def test_a_tiny_imaginary_part_keeps_the_complex_route(solved_dtypes):
+    amps = _real_pure(np.random.default_rng(670), 6).astype(np.complex128)
+    amps[5] += 1e-300j
+    sweep(PureState(6, amps))
+    assert set(solved_dtypes) == {np.dtype(np.complex128)}
+
+
+def test_a_real_operator_keeps_the_complex_route(solved_dtypes):
+    rho = to_density(ghz(4))
+    decompose(rho, Partition((0, 2), (1, 3)))
+    assert set(solved_dtypes) == {np.dtype(np.complex128)}
 
 
 def test_maximal_purification_flag_solves_two_by_two_grams_only(solved):

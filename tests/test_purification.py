@@ -224,3 +224,27 @@ def test_purify_and_min_purifying_qubits_share_one_rank(spectrum_first):
             want = min_purifying_qubits(rho)
         assert result.ancilla_qubits == want, seed
         assert result.purified.n_qubits == 3 + want, seed
+
+
+def test_purify_orders_separate_tie_groups_by_their_entries(monkeypatch):
+    # Eight unit eigenvectors, shuffled: three tie on (value, lead) = (0.2, 0),
+    # one shares only the value (0.2, 1), two tie on (0.1, 2), and two share
+    # only the value (0.05, 2) and (0.05, 3). Only the two tie groups are
+    # ordered by their entries, so a run that starts or stops one column
+    # off moves a vector. Leading magnitudes fall with the column, so each
+    # group's order is the reverse of eigh's. Each leading entry's phase is
+    # a power of i, which the vectorised phase fix and the reference's
+    # per-vector one both divide out exactly.
+    rng = np.random.default_rng(103)
+    keys = [(0.2, 0), (0.1, 2), (0.05, 3), (0.2, 1), (0.2, 0), (0.05, 2), (0.1, 2), (0.2, 0)]
+    vectors = np.zeros((8, 8), dtype=np.complex128)
+    for col, (_, lead) in enumerate(keys):
+        top = 0.9 - 0.1 * col
+        rest = rng.standard_normal(7 - lead) + 1j * rng.standard_normal(7 - lead)
+        vectors[lead, col] = top * 1j**col
+        vectors[lead + 1 :, col] = rest * math.sqrt(1 - top * top) / np.linalg.norm(rest)
+    values = np.array([value for value, _ in keys])
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (values, vectors))
+    rho = validate_density(np.eye(8) / 8, 3)
+    got = purify(rho).purified.amplitudes
+    assert got.tobytes() == reference_purification_table(rho.matrix).tobytes()

@@ -32,17 +32,22 @@ from qcorr import (
     Region,
     analyze,
     araki_lieb_check,
+    bell_product,
+    classify_region,
     decompose,
     enumerate_bipartitions,
     ghz,
+    ghz_block_product,
     is_product_across,
     parse_partition,
     permute_qubits,
     sweep,
     to_density,
     total_correlation,
+    uniform_entangled,
     von_neumann_entropy,
 )
+from qcorr.partitions import _product_flag
 from helpers import random_pure
 from test_entropy_engine import pure_states
 
@@ -153,9 +158,10 @@ def test_a_sweep_enters_the_engine_twice(monkeypatch):
     m = len(sweep(state).entries)
     assert m == 2 ** (n - 1) - 1
     assert calls["engine"] <= 2, calls
-    # building each Partition checks it; the engine trusts what it is handed
+    # a sweep's cuts are valid as generated, and the engine trusts what it
+    # is handed: no subset is checked
     assert calls["engine checks"] == 0
-    assert calls["partition checks"] == m
+    assert calls["partition checks"] == 0
 
 
 def test_report_rejects_a_partition_of_another_size():
@@ -258,6 +264,79 @@ def test_paper_identity_and_bounds_hold_through_sweep(n, seed, split):
             assert e.product_across
             found_factor_cut = True
     assert found_factor_cut or not split
+
+
+def _sweep_state(kind, n, rng):
+    """A pure state of about n qubits (the named kinds round n to their
+    own sizes) for the row-rule property."""
+    if kind == "random":
+        return PureState(n, random_pure(rng, n))
+    if kind == "real":
+        amps = rng.standard_normal(1 << n)
+        return PureState(n, amps / np.linalg.norm(amps))
+    if kind == "product":
+        k = int(rng.integers(1, n))
+        amps = np.kron(random_pure(rng, k), random_pure(rng, n - k))
+        return permute_qubits(PureState(n, amps), [int(q) for q in rng.permutation(n)])
+    if kind == "ghz":
+        return ghz(n)
+    if kind == "ue":
+        return uniform_entangled(max(1, n // 2))
+    if kind == "bellpairs":
+        return bell_product(max(1, n // 2))
+    return ghz_block_product(max(2, n // 2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["random", "real", "product", "ghz", "ue", "bellpairs", "ghzblocks"]),
+    st.integers(2, 10),
+    st.integers(0, 2**32 - 1),
+)
+def test_array_rows_are_the_scalar_rules(kind, n, seed):
+    state = _sweep_state(kind, n, np.random.default_rng(seed))
+    n = state.n_qubits
+    report = sweep(state)
+    for part, e in zip(enumerate_bipartitions(n), report.entries):
+        a, b = len(part.alpha), len(part.beta)
+        assert e.region_internal_alpha is classify_region(e.internal_alpha, [LN2] * a)
+        assert e.region_internal_beta is classify_region(e.internal_beta, [LN2] * b)
+        assert e.region_external is classify_region(e.external, [a * LN2, b * LN2])
+        probs = qcorr.correlation._cut_spectra(state, [part.alpha])[0][0]
+        assert e.product_across is _product_flag(probs)
+        # the one-row rule as a scalar formula
+        p = probs / float(probs.sum())
+        assert e.product_across is (math.sqrt(2.0 * float(p[1:].sum())) <= 1e-9)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sweep_cuts_are_the_canonical_cuts_in_order(n):
+    state = ghz(n)
+    for size_alpha in [None, *range(1, n)]:
+        sizes = range(1, n) if size_alpha is None else sorted({size_alpha, n - size_alpha})
+        want = [
+            Partition.complement((0, *rest), n)
+            for k in sizes
+            for rest in combinations(range(1, n), k - 1)
+        ]
+        assert enumerate_bipartitions(n, size_alpha) == want
+        labels = [e.partition for e in sweep(state, size_alpha).entries]
+        assert labels == [part.label() for part in want]
+
+
+@pytest.mark.parametrize(
+    "state, size_alpha, message",
+    [
+        (ghz(4), 0, "size_alpha must be in 1..3, got 0"),
+        (ghz(4), 4, "size_alpha must be in 1..3, got 4"),
+        (ghz(4), -1, "size_alpha must be in 1..3, got -1"),
+        (PureState(1, [1.0, 0.0]), None, "need at least 2 qubits to bipartition, got 1"),
+    ],
+)
+def test_sweep_size_errors_are_unchanged(state, size_alpha, message):
+    with pytest.raises(ValueError) as raised:
+        sweep(state, size_alpha)
+    assert str(raised.value) == message
 
 
 @settings(deadline=None, max_examples=200)
