@@ -3,7 +3,7 @@
 Subcommands: analyze, sweep, entropy, purify. States are given as specs
 (`ghz:4`, `ue:4`, `bellpairs:2`, `ghzblocks:3`, `file:PATH`), partitions as
 `ab|cd` or `0,2|1,3`. Exit codes: 0 success, 2 parse/validation error,
-3 size cap exceeded.
+3 size cap exceeded or an allocation refused.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except SizeCapError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (SizeCapError, MemoryError) as e:  # numpy names the size it could not allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except (QcorrError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,8 +8,11 @@ S(rho_alpha) + S(rho_beta) - S(rho).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -46,6 +49,35 @@ MAX_STACK_AMPLITUDES = 1 << 16
 #: 4e-16 (Golub & Van Loan, Matrix Computations), where the product flag
 #: (`partitions._product_flag`) needs a tail below 5e-19.
 GRAM_TAIL_FLOOR = 1e-12
+
+
+try:  # OpenBLAS's setter in the library numpy links: int count in, previous count out
+    _SET_BLAS_THREADS = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+except (AttributeError, OSError):  # another BLAS, or an OpenBLAS without it
+    _SET_BLAS_THREADS = None
+_BLAS_LOCK = threading.Lock()
+_blas_pin = [0, 0]  # blocks now in `_one_blas_thread`, and the count the first found
+
+
+@contextmanager
+def _one_blas_thread():
+    """The block on one OpenBLAS thread, if the setter exists. Overlapping
+    blocks share it: the first sets 1; the last restores what the first found,
+    or a count that other code set meanwhile."""
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    with _BLAS_LOCK:
+        _blas_pin[0] += 1
+        if _blas_pin[0] == 1:
+            _blas_pin[1] = _SET_BLAS_THREADS(1)
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_pin[0] -= 1
+            if not _blas_pin[0] and (now := _SET_BLAS_THREADS(_blas_pin[1])) != 1:
+                _SET_BLAS_THREADS(now)  # the other code's count stands
 
 
 class Region(str, Enum):
@@ -116,7 +148,8 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     by SVD. At a complex half cut a Gram matrix is no smaller than M and no
     faster to solve, so each stack goes to one SVD. A half cut of more than
     one stack has its stacks solved by a thread per CPU in the affinity
-    mask, in side order.
+    mask, in side order, on one OpenBLAS thread (`_one_blas_thread`; each
+    worker sets it on start too, for builds where the count is per thread).
     """
     k = len(sides[0])
     per_stack = max(1, MAX_STACK_AMPLITUDES >> n)
@@ -127,7 +160,8 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
             from concurrent.futures import ThreadPoolExecutor
 
             stacks = [sides[start : start + per_stack] for start in range(0, len(sides), per_stack)]
-            with ThreadPoolExecutor(cpus) as pool:
+            pool = ThreadPoolExecutor(cpus, initializer=_SET_BLAS_THREADS, initargs=(1,))
+            with _one_blas_thread(), pool:
                 return np.concatenate(list(pool.map(lambda s: _level_probs(amps, n, s), stacks)))
     out = []
     for start in range(0, len(sides), per_stack):
@@ -161,10 +195,12 @@ def _cut_spectra(
     side; at the half cut, of the side holding qubit 0; for the whole
     register, 0, with the one probability |psi|^2. The missing cuts are
     solved one size of the smaller side at a time (`_level_probs`), largest
-    first, so the half cut's threads never compete with the BLAS threads of
-    a Gram product; no memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`.
-    A pure state whose amplitudes have no nonzero imaginary part is solved
-    in float64, every other one in complex128.
+    first; up to `MAX_STACK_AMPLITUDES` amplitudes (16 qubits) on one BLAS
+    thread (`_one_blas_thread`), as OpenBLAS's workers only spin beside such
+    small solves, while larger ones and an operator's keep its threads. No memo
+    entry holds a Gram tail below `GRAM_TAIL_FLOOR`. A pure state whose
+    amplitudes have no nonzero imaginary part is solved in float64, every other
+    one in complex128.
     """
     n, memo = state.n_qubits, state._cuts
     pure = isinstance(state, PureState)
@@ -185,14 +221,15 @@ def _cut_spectra(
         amps = state.amplitudes
         if levels and not amps.imag.any():
             amps = amps.real.copy()  # a real state is solved in float64
-        for k, level in sorted(levels.items(), reverse=True):
-            if k == 0:
-                probs = np.array([[float(np.vdot(state.amplitudes, state.amplitudes).real)]])
-            else:
-                sides = [tuple(q for q in range(n) if key >> q & 1) for key in level]
-                probs = _level_probs(amps, n, sides)
-            probs.setflags(write=False)
-            memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
+        with _one_blas_thread() if levels and 1 << n <= MAX_STACK_AMPLITUDES else nullcontext():
+            for k, level in sorted(levels.items(), reverse=True):
+                if k == 0:
+                    probs = np.array([[float(np.vdot(state.amplitudes, state.amplitudes).real)]])
+                else:
+                    sides = [tuple(q for q in range(n) if key >> q & 1) for key in level]
+                    probs = _level_probs(amps, n, sides)
+                probs.setflags(write=False)
+                memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
     else:
         for key in missing:
             if key == full:
@@ -214,7 +251,8 @@ def von_neumann_entropy(
     from the memoised engine (`_cut_spectra`). A pure state is reduced
     through its Schmidt probabilities and never densified, an operator by
     partial trace. Raises IndexError unless `subset` holds distinct qubits
-    in range.
+    in range. Up to 16 qubits, and in a half cut's thread pool, a pure state is
+    solved on one OpenBLAS thread, which numpy's OpenBLAS sets for every thread.
     """
     n = state.n_qubits
     return _cut_spectra(state, [range(n) if subset is None else _check_subset(subset, n)])[0][1]

@@ -71,7 +71,9 @@ def purify(rho: DensityOperator) -> PurificationResult:
     mags = np.abs(vectors)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     pivot = vectors[lead, np.arange(len(values))]
-    vectors = vectors / (pivot / np.abs(pivot))
+    # np.hypot is the scalar abs(); the SIMD np.abs of an array can differ in
+    # the last bit, and the phase is part of the output, bit for bit.
+    vectors = vectors / (pivot / np.hypot(pivot.real, pivot.imag))
     # The order is -value, then lead, then the rounded entries, which are
     # read only within runs of columns tied on both (np.lexsort is stable;
     # its last key is its primary one).

@@ -356,7 +356,8 @@ def sweep(
     units: str = "nats",
     max_qubits: int | None = None,
 ) -> CorrelationReport:
-    """Correlation report covering every canonical bipartition."""
+    """Correlation report covering every canonical bipartition, solved as
+    `correlation.von_neumann_entropy` is (see there for OpenBLAS's threads)."""
     state = _resolve_state(spec, max_qubits)
     parts = enumerate_bipartitions(state.n_qubits, size_alpha)
     return _analyze_pure(state, parts, units)

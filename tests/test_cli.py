@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcorr
+import qcorr.cli
 from qcorr import ghz, save_state_file
 from qcorr.cli import main
 
@@ -127,6 +133,51 @@ def test_exit_code_size_cap(capsys):
     code, _, err = run(capsys, "sweep", "--state", "ghz:20")
     assert code == 3
     assert "cap" in err
+
+
+#: Runs `qcorr.cli` in a child whose address space is capped at 1 GiB; the
+#: limit is set by the child itself, before the CLI is imported.
+LIMITED_CLI = (
+    "import resource, runpy; "
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "runpy.run_module('qcorr.cli', run_name='__main__')"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["entropy", "--state", "ghz:27", "--subset", "a"], "2.00 GiB"),
+        (["sweep", "--state", "ghz:27"], "2.00 GiB"),
+        (["purify", "--state", "ue:26", "--subset", "a"], "1.00 GiB"),
+    ],
+    ids=["entropy", "sweep", "purify"],
+)
+def test_a_refused_allocation_exits_3_with_one_line(argv, size):
+    # Past the size cap, an amplitude vector larger than the child's 1 GiB
+    # address space is refused by numpy.
+    src = str(Path(qcorr.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *argv, "--max-qubits", "30"],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: Unable to allocate {size} ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_a_memory_error_without_a_message_still_says_what_failed(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(qcorr.cli, "_cmd_sweep", out_of_memory)
+    code, out, err = run(capsys, "sweep", "--state", "ghz:3")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("spec", ["ghz:100000", "ue:20000"])

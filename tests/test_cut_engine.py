@@ -10,8 +10,12 @@ A half cut of more than one stack is solved on a thread per CPU; those tests
 check its memo against one serial SVD, bit for bit, and which threads run it.
 A pure state with real amplitudes is solved in float64; those tests check it
 against the same oracle and flags, and which dtype reaches the solvers.
+A pure state's solves run with OpenBLAS set to one thread; those tests check
+that the engine sets 1 and restores the count, and that the memo is the same
+without the setter.
 """
 
+import itertools
 import math
 import os
 import sys
@@ -41,7 +45,8 @@ from qcorr import (
     to_density,
     uniform_entangled,
 )
-from qcorr.correlation import GRAM_TAIL_FLOOR, _cut_spectra
+import qcorr.correlation
+from qcorr.correlation import _SET_BLAS_THREADS, GRAM_TAIL_FLOOR, _cut_spectra
 from qcorr.partitions import _product_flag, decompose_rows
 from qcorr.states import _amplitude_matrices
 from helpers import (
@@ -369,3 +374,166 @@ def test_levels_are_solved_largest_first(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording)
     sweep(PureState(6, random_pure(np.random.default_rng(650), 6)))
     assert rows == [8, 4, 2]
+
+
+class FakeSetter:
+    """Stands in for OpenBLAS's thread-count setter: records the thread and
+    the count of each call, and returns the count it held, 4 at first."""
+
+    def __init__(self):
+        self.count, self.calls = 4, []
+
+    def __call__(self, count):
+        self.calls.append((threading.get_ident(), count))
+        previous, self.count = self.count, count
+        return previous
+
+    def counts(self):
+        return [count for _, count in self.calls]
+
+
+@pytest.fixture
+def fake_setter(monkeypatch):
+    setter = FakeSetter()
+    monkeypatch.setattr(qcorr.correlation, "_SET_BLAS_THREADS", setter)
+    return setter
+
+
+def test_each_solving_call_sets_one_blas_thread_and_restores_the_count(fake_setter, monkeypatch):
+    seen = []
+
+    def recording(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
+        seen.append(fake_setter.count)
+        return _solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    state = PureState(6, random_pure(np.random.default_rng(660), 6))
+    _cut_spectra(state, [(0,), (0, 1)])
+    _cut_spectra(state, [(2,), (0, 1, 2)])
+    assert fake_setter.counts() == [1, 4, 1, 4]
+    assert seen and set(seen) == {1}
+
+
+def test_a_failing_solve_restores_the_count(fake_setter, monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        _cut_spectra(PureState(4, random_pure(np.random.default_rng(661), 4)), [(0,)])
+    assert fake_setter.counts() == [1, 4]
+    assert qcorr.correlation._blas_pin[0] == 0
+    assert not qcorr.correlation._BLAS_LOCK.locked()
+
+
+def test_overlapping_blocks_set_once_and_restore_after_the_last(fake_setter):
+    first, second = qcorr.correlation._one_blas_thread(), qcorr.correlation._one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert fake_setter.count == 1
+    second.__exit__(None, None, None)
+    assert fake_setter.counts() == [1, 4]
+
+
+def test_a_count_set_by_other_code_meanwhile_stands(fake_setter):
+    with qcorr.correlation._one_blas_thread():
+        fake_setter(3)
+    assert fake_setter.count == 3
+
+
+def test_only_small_states_and_the_pool_solve_on_one_blas_thread(fake_setter, monkeypatch):
+    # With the stack cap lowered to 2^6 amplitudes, an 8-qubit state stands
+    # for one too large to pin: its single solves keep OpenBLAS's threads,
+    # and only its pooled half cut runs on one.
+    monkeypatch.setattr(qcorr.correlation, "MAX_STACK_AMPLITUDES", 1 << 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    n, caller = 8, threading.get_ident()
+    state = PureState(n, random_pure(np.random.default_rng(667), n))
+    _cut_spectra(state, [(0,), (1, 2, 3), (0, 1, 2, 3)])
+    assert fake_setter.calls == []
+    halves = [side for side in itertools.combinations(range(n), n // 2) if side[0] == 0]
+    _cut_spectra(state, halves)
+    assert [count for ident, count in fake_setter.calls if ident == caller] == [1, 4]
+    assert {count for ident, count in fake_setter.calls if ident != caller} == {1}
+
+
+def test_the_pool_initializer_sets_one_blas_thread(fake_setter, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    n, caller = 10, threading.get_ident()
+    halves = [side for side in itertools.combinations(range(n), n // 2) if side[0] == 0]
+    _cut_spectra(PureState(n, random_pure(np.random.default_rng(662), n)), halves)
+    workers = [count for ident, count in fake_setter.calls if ident != caller]
+    assert workers and set(workers) == {1}
+    assert [count for ident, count in fake_setter.calls if ident == caller] == [1, 4]
+
+
+def test_memoised_calls_and_operators_leave_the_setter_alone(fake_setter):
+    state = PureState(5, random_pure(np.random.default_rng(663), 5))
+    sweep(state)
+    fake_setter.calls.clear()
+    sweep(state)
+    rho = to_density(state)
+    for subset in [(0,), (1, 3), (0, 1, 2, 3, 4)]:
+        _cut_spectra(rho, [subset])
+    assert fake_setter.calls == []
+
+
+def _blas_threads():
+    """OpenBLAS's thread count, read by setting it."""
+    count = _SET_BLAS_THREADS(1)
+    _SET_BLAS_THREADS(count)
+    return count
+
+
+@pytest.mark.skipif(_SET_BLAS_THREADS is None, reason="numpy's BLAS has no OpenBLAS setter")
+def test_the_real_count_is_restored_after_sweeps(monkeypatch):
+    seen = []
+
+    def recording(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
+        seen.append(_blas_threads())
+        return _solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    initial = _SET_BLAS_THREADS(2)
+    try:
+        sweep(PureState(12, random_pure(np.random.default_rng(664), 12)))
+        assert _blas_threads() == 2
+        errors = []
+
+        def run(seed):
+            try:
+                sweep(PureState(12, random_pure(np.random.default_rng(seed), 12)))
+            except BaseException as e:  # re-raised on the test's thread
+                errors.append(e)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in (665, 666)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert _blas_threads() == 2
+    finally:
+        _SET_BLAS_THREADS(initial)
+    assert seen and set(seen) == {1}
+
+
+def _memo_bytes(state):
+    return b"".join(
+        np.int64(key).tobytes() + probs.tobytes() + np.float64(entropy).tobytes()
+        for key, (probs, entropy) in sorted(state._cuts.items())
+    )
+
+
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_the_memo_is_the_same_without_the_setter(n, real, monkeypatch):
+    rng = np.random.default_rng(670 + n)
+    amps = _real_pure(rng, n) if real else random_pure(rng, n)
+    pinned = PureState(n, amps)
+    sweep(pinned)
+    monkeypatch.setattr(qcorr.correlation, "_SET_BLAS_THREADS", None)
+    free = PureState(n, amps)
+    sweep(free)
+    assert _memo_bytes(pinned) == _memo_bytes(free)

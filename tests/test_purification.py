@@ -198,6 +198,25 @@ def test_purify_breaks_full_ties_by_the_entries_as_the_reference_does(monkeypatc
     assert got.tobytes() == reference_purification_table(rho.matrix).tobytes()
 
 
+def test_purify_fixes_any_leading_phase_as_the_reference_does(monkeypatch):
+    # eigh's eigenvectors have a real first entry, so a general complex phase
+    # is divided out only when that entry is 0 and the leading one lies below
+    # it, here in rows 1 to 3. The phase must be computed as the reference's
+    # scalar v[lead] / abs(v[lead]), bit for bit, at any such phase.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        for col, lead in enumerate(rng.integers(1, 4, size=8)):
+            vectors[:lead, col] = 0
+        vectors /= np.linalg.norm(vectors, axis=0)
+        values = np.sort(rng.random(8))
+        values /= values.sum()
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (values, vectors))
+        rho = validate_density(np.eye(8) / 8, 3)
+        got = purify(rho).purified.amplitudes
+        assert got.tobytes() == reference_purification_table(rho.matrix).tobytes(), seed
+
+
 def _fifth_eigenvalue_at_the_threshold(rng):
     """A 3-qubit operator of rank 5 whose smallest nonzero eigenvalue lies
     within 1e-15 of `RANK_THRESHOLD`, where eigh and eigvalsh may disagree."""
