@@ -141,19 +141,16 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     all of one size k, are `sides`; one row per side.
 
     The amplitude matrices are stacked at most `MAX_STACK_AMPLITUDES` at a
-    time, in the dtype of `amps`. Below the half cut (2k < n), and at the
-    half cut of real amplitudes, each stack goes through its Gram matrices
+    time, in the dtype of `amps`. Each stack goes through its Gram matrices
     M M^dagger, of dimension 2^k, and one `eigvalsh`; a cut whose tail (all
     but the largest eigenvalue) sums below `GRAM_TAIL_FLOOR` is solved again
-    by SVD. At a complex half cut a Gram matrix is no smaller than M and no
-    faster to solve, so each stack goes to one SVD. A half cut of more than
-    one stack has its stacks solved by a thread per CPU in the affinity
-    mask, in side order, on one OpenBLAS thread (`_one_blas_thread`; each
-    worker sets it on start too, for builds where the count is per thread).
+    by SVD. A half cut of more than one stack has its stacks solved by a
+    thread per CPU in the affinity mask, in side order, on one OpenBLAS
+    thread (`_one_blas_thread`; each worker sets it on start too, for
+    builds where the count is per thread).
     """
-    k = len(sides[0])
     per_stack = max(1, MAX_STACK_AMPLITUDES >> n)
-    if 2 * k == n and len(sides) > per_stack:
+    if 2 * len(sides[0]) == n and len(sides) > per_stack:
         affinity = getattr(os, "sched_getaffinity", None)
         cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
         if cpus > 1:
@@ -166,10 +163,6 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     out = []
     for start in range(0, len(sides), per_stack):
         mats = _amplitude_matrices(amps, n, sides[start : start + per_stack])
-        if 2 * k == n and np.iscomplexobj(mats):
-            sv = np.linalg.svd(mats, compute_uv=False)
-            out.append(sv * sv)
-            continue
         gram = mats @ mats.conj().transpose(0, 2, 1)
         values = np.linalg.eigvalsh(gram)[:, ::-1]
         redo = np.sum(values[:, 1:], axis=1) < GRAM_TAIL_FLOOR
@@ -192,15 +185,15 @@ def _cut_spectra(
     ascending order, and the whole register reads the cached `spectrum`
     (eigenvalues ascending). Both sides of a pure state's cut share their
     Schmidt probabilities (descending), so its key is the mask of the smaller
-    side; at the half cut, of the side holding qubit 0; for the whole
-    register, 0, with the one probability |psi|^2. The missing cuts are
-    solved one size of the smaller side at a time (`_level_probs`), largest
-    first; up to `MAX_STACK_AMPLITUDES` amplitudes (16 qubits) on one BLAS
-    thread (`_one_blas_thread`), as OpenBLAS's workers only spin beside such
-    small solves, while larger ones and an operator's keep its threads. No memo
-    entry holds a Gram tail below `GRAM_TAIL_FLOOR`. A pure state whose
-    amplitudes have no nonzero imaginary part is solved in float64, every other
-    one in complex128.
+    side; at the half cut, of the side holding qubit 0; for the whole register,
+    0, with the one probability |psi|^2. The missing cuts are solved one size
+    of the smaller side at a time, largest first, by Gram spectra with an SVD
+    redo (`_level_probs`), so no memo entry holds a Gram tail below
+    `GRAM_TAIL_FLOOR`. Up to `MAX_STACK_AMPLITUDES` amplitudes (16 qubits) they
+    run on one BLAS thread (`_one_blas_thread`), as OpenBLAS's workers only
+    spin beside such small solves, while larger ones and an operator's keep its
+    threads. A pure state with no nonzero imaginary part is solved in float64,
+    every other one in complex128.
     """
     n, memo = state.n_qubits, state._cuts
     pure = isinstance(state, PureState)
@@ -337,8 +330,8 @@ def araki_lieb_check(
 ) -> ArakiLiebResult:
     """Check |S_A - S_B| <= S <= S_A + S_B for the given bipartition.
 
-    Returns the slack of each inequality; `ok` means both are >= -1e-9.
-    This is the one-row case of `partitions.decompose_rows`.
+    Returns the slack of each inequality; `ok` means neither is below
+    -`ARAKI_LIEB_TOL`. The one-row case of `partitions.decompose_rows`.
     """
     from .partitions import decompose_rows  # partitions imports this module
 

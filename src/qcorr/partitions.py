@@ -28,6 +28,13 @@ from .states import DensityOperator, PureState, _check_subset
 
 IDENTITY_TOL = 1e-8
 
+#: `is_product_across`'s default bound on the Frobenius distance between rho
+#: and rho_alpha (x) rho_beta; for a pure state, a Schmidt tail up to 5e-19.
+PRODUCT_TOL = 1e-9
+
+#: How far below zero an Araki-Lieb slack may read and the check still pass.
+ARAKI_LIEB_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -115,8 +122,8 @@ class DecompositionRows:
 
     @property
     def araki_lieb_ok(self) -> np.ndarray:
-        """Each row's Araki-Lieb check: both slacks >= -1e-9."""
-        return (self.lower_slack >= -1e-9) & (self.upper_slack >= -1e-9)
+        """Each row's Araki-Lieb check: both slacks >= -`ARAKI_LIEB_TOL`."""
+        return (self.lower_slack >= -ARAKI_LIEB_TOL) & (self.upper_slack >= -ARAKI_LIEB_TOL)
 
 
 def _side_sums(values: np.ndarray, sides: list[tuple[int, ...]]) -> np.ndarray:
@@ -250,7 +257,7 @@ def enumerate_bipartitions(n_qubits: int, size_alpha: int | None = None) -> list
     return out
 
 
-def _product_flags(spectra: Sequence[np.ndarray], tol: float = 1e-9) -> np.ndarray:
+def _product_flags(spectra: Sequence[np.ndarray], tol: float = PRODUCT_TOL) -> np.ndarray:
     """Product-across check for pure states from their Schmidt probabilities,
     one flag per spectrum; spectra of one length are stacked and checked at
     once.
@@ -271,13 +278,13 @@ def _product_flags(spectra: Sequence[np.ndarray], tol: float = 1e-9) -> np.ndarr
     return flags
 
 
-def _product_flag(probs: np.ndarray, tol: float = 1e-9) -> bool:
+def _product_flag(probs: np.ndarray, tol: float = PRODUCT_TOL) -> bool:
     """`_product_flags` of one spectrum."""
     return bool(_product_flags([probs], tol)[0])
 
 
 def is_product_across(
-    state: PureState | DensityOperator, part: Partition, tol: float = 1e-9
+    state: PureState | DensityOperator, part: Partition, tol: float = PRODUCT_TOL
 ) -> bool:
     """True iff rho is within Frobenius distance tol of rho_alpha (x) rho_beta.
 

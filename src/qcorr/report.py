@@ -148,7 +148,7 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # also bad UTF-8, deep nesting, huge integers
             raise StateFileError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")
@@ -165,17 +165,16 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
         )
     amps = np.empty(1 << n, dtype=np.complex128)
     for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
-            )
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
-            raise StateFileError(
-                f"{path}: amplitude {i} must be a [re, im] pair, got {pair!r}"
-            )
-        amps[i] = complex(pair[0], pair[1])
+            raise StateFileError(f"{path}: amplitude {i} must be a [re, im] pair, got {pair!r}")
+        try:
+            amps[i] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise StateFileError(f"{path}: amplitude {i} is too large for a float") from None
     nrm2 = float(np.vdot(amps, amps).real)
     if not abs(nrm2 - 1.0) <= FILE_NORM_TOL:  # also a NaN from overflow
         raise NotNormalizedError(

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcorr
 import qcorr.cli
@@ -293,3 +297,80 @@ def test_empty_partition_side_keeps_its_message(capsys):
     code, _, err = run(capsys, "analyze", "--state", "ghz:4", "--partition", "ab|")
     assert code == 2
     assert err == "error: empty partition side (at position 3)\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            b'{"n_qubits": 1, "amplitudes": [[1, 0], [1' + b"0" * 400 + b", 0]]}",
+            "amplitude 1 is too large for a float",
+        ),
+        (b"[" * 100_000, "not valid JSON (maximum recursion depth exceeded"),
+        (b'{"n_qubits": 1' + b"0" * 5000 + b"}", "not valid JSON (Exceeds the limit (4300 digits)"),
+        (b"\xff\xfe{", "not valid JSON ('utf-8' codec can't decode byte 0xff in position 0"),
+    ],
+    ids=["huge-integer", "deep-nesting", "too-many-digits", "not-utf-8"],
+)
+def test_unreadable_state_file_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "entropy", "--state", f"file:{path}", "--subset", "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count("\n") == 1
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(-3, 3),
+    st.integers(10**300, 10**400),  # past float's range
+    st.floats(),  # NaN and Infinity are written as json's literals
+)
+
+
+@st.composite
+def _state_file_bytes(draw):
+    """A state-file document, well formed or not, as bytes."""
+    # one_of flattens nested one_ofs into equal branches, so weights are drawn
+    kinds = [st.integers(1, 3)] * 3 + [st.integers(-1, 0), st.integers(13, 10**400), _JSON_VALUES]
+    n = draw(st.sampled_from(kinds).flatmap(lambda kind: kind))
+    small = isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= 3
+    count = (1 << n) + draw(st.sampled_from([0, 0, 0, -1, 1])) if small else draw(st.integers(0, 4))
+    amplitudes = [[1, 0]] + [[0, 0]] * (count - 1)  # a valid state if the count is right
+    if amplitudes and draw(st.booleans()):
+        at = draw(st.integers(0, len(amplitudes) - 1))
+        pair = st.lists(_JSON_VALUES, min_size=2, max_size=2)
+        amplitudes[at] = draw(
+            st.sampled_from([pair, pair, st.lists(_JSON_VALUES, max_size=3), _JSON_VALUES])
+            .flatmap(lambda kind: kind)
+        )
+    if draw(st.integers(0, 3)) == 0:
+        amplitudes = draw(_JSON_VALUES)
+    doc = {"n_qubits": n, "amplitudes": amplitudes}
+    doc = draw(st.sampled_from([doc] * 4 + [{"n_qubits": n}, [n]]))
+    text = json.dumps(doc).encode()
+    depth = draw(st.sampled_from([0] * 8 + [50, 100_000]))
+    text = b"[" * depth + text + b"]" * draw(st.sampled_from([0, depth]))
+    bad = draw(st.sampled_from([b""] * 8 + [b"\xff", b"\xed\xa0\x80"]))  # not UTF-8
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + bad + text[cut:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=_state_file_bytes())
+def test_any_state_file_exits_0_2_or_3_with_at_most_one_error_line(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-state.json"
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["entropy", "--state", f"file:{path}", "--subset", "a"])
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and out.getvalue().startswith("S(a) = ")

@@ -1,13 +1,14 @@
 """The batched cut engine, `correlation._cut_spectra`, and the array form
 of the decomposition, `partitions.decompose_rows`.
 
-Below the half cut the engine takes Gram spectra, which are accurate for
-entropies but leave an exact product's tail at rounding noise; those cuts
-must be solved again by SVD before they reach the memo. These tests check
-every cut's entropy against the brute-force oracle in `helpers`, every
-product flag against the SVD route, and the rows against the one-row calls.
-A half cut of more than one stack is solved on a thread per CPU; those tests
-check its memo against one serial SVD, bit for bit, and which threads run it.
+The engine takes Gram spectra at every cut, which are accurate for entropies
+but leave an exact product's tail at rounding noise; those cuts must be
+solved again by SVD before they reach the memo. These tests check every
+cut's entropy against the brute-force oracle in `helpers`, every product
+flag against the SVD route, both sides of `GRAM_TAIL_FLOOR`, and the rows
+against the one-row calls. A half cut of more than one stack is solved on a
+thread per CPU; those tests check its memo against one serial pass, bit for
+bit, and which threads run it.
 A pure state with real amplitudes is solved in float64; those tests check it
 against the same oracle and flags, and which dtype reaches the solvers.
 A pure state's solves run with OpenBLAS set to one thread; those tests check
@@ -46,7 +47,7 @@ from qcorr import (
     uniform_entangled,
 )
 import qcorr.correlation
-from qcorr.correlation import _SET_BLAS_THREADS, GRAM_TAIL_FLOOR, _cut_spectra
+from qcorr.correlation import _SET_BLAS_THREADS, GRAM_TAIL_FLOOR, _cut_spectra, clamp_nonneg
 from qcorr.partitions import _product_flag, decompose_rows
 from qcorr.states import _amplitude_matrices
 from helpers import (
@@ -192,6 +193,16 @@ def test_a_real_half_cut_takes_gram_spectra(solved):
     assert solved["svd"] == []
 
 
+def test_a_complex_sweep_takes_one_gram_spectrum_per_cut(solved):
+    n = 12
+    sweep(PureState(n, random_pure(np.random.default_rng(680), n)))
+    assert len(solved["eigvalsh"]) == 2 ** (n - 1) - 1
+    assert sorted(solved["eigvalsh"]) == [
+        (1 << k, 1 << k) for k in range(1, n // 2) for _ in range(math.comb(n, k))
+    ] + [(1 << (n // 2), 1 << (n // 2))] * (math.comb(n, n // 2) // 2)
+    assert solved["svd"] == []
+
+
 @pytest.mark.parametrize(
     "state",
     [ghz(6), uniform_entangled(3), bell_product(3), ghz_block_product(3)],
@@ -279,15 +290,15 @@ def test_rows_check_every_partition_and_the_identity(monkeypatch):
 
 
 @pytest.fixture
-def svd_threads(monkeypatch):
-    """The `threading.get_ident()` of each call to `np.linalg.svd`."""
+def solve_threads(monkeypatch):
+    """The `threading.get_ident()` of each call to `np.linalg.eigvalsh`."""
     idents = []
 
-    def recording(a, *args, _svd=np.linalg.svd, **kwargs):
+    def recording(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
         idents.append(threading.get_ident())
-        return _svd(a, *args, **kwargs)
+        return _solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     return idents
 
 
@@ -301,13 +312,16 @@ def _half_cut_memo(state):
 
 
 def _check_half_cut_memo(n, seed):
-    """Sweep a random state; its half-cut memo must be one serial SVD's."""
+    """Sweep a random state; its half-cut memo must be one serial pass of
+    Gram spectra, none of which falls below the SVD redo's floor."""
     amps = random_pure(np.random.default_rng(seed), n)
     state = PureState(n, amps)
     sweep(state)
     sides, probs = _half_cut_memo(state)
     assert len(sides) == math.comb(n, n // 2) // 2
-    want = np.linalg.svd(_amplitude_matrices(amps, n, sides), compute_uv=False) ** 2
+    mats = _amplitude_matrices(amps, n, sides)
+    want = clamp_nonneg(np.linalg.eigvalsh(mats @ mats.conj().transpose(0, 2, 1))[:, ::-1])
+    assert np.sum(want[:, 1:], axis=1).min() >= GRAM_TAIL_FLOOR
     assert probs.tobytes() == want.tobytes()
 
 
@@ -327,14 +341,64 @@ def test_more_workers_than_cores_keep_the_memo_serial(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _orthonormal_pair(rng, k, make):
+    """Two random orthonormal k-qubit states."""
+    first, second = make(rng, k), make(rng, k)
+    second = second - np.vdot(first, second) * first
+    return first, second / np.linalg.norm(second)
+
+
+# At the floor and away from it, on the serial half cut (6 qubits, one stack)
+# and the pooled one (10 and 12 qubits).
+@pytest.mark.parametrize("t", [1e-14, 0.99e-12, 1.01e-12, 1e-10])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", [6, 10, 12])
+def test_half_cut_tails_on_both_sides_of_the_gram_floor(n, real, t, monkeypatch):
+    # sqrt(1 - t)|a>|b> + sqrt(t)|a'>|b'> on two shuffled halves has a
+    # Schmidt tail of t across them: only that cut may be solved again by SVD.
+    rng = np.random.default_rng(690 + n)
+    make = _real_pure if real else random_pure
+    (a, a2), (b, b2) = _orthonormal_pair(rng, n // 2, make), _orthonormal_pair(rng, n // 2, make)
+    perm = [int(q) for q in rng.permutation(n)]
+    amps = math.sqrt(1.0 - t) * np.kron(a, b) + math.sqrt(t) * np.kron(a2, b2)
+    state = permute_qubits(PureState(n, amps), perm)
+    amps = state.amplitudes
+    factor = sorted(perm[: n // 2])
+    factor = factor if factor[0] == 0 else sorted(set(range(n)) - set(factor))
+    redone = []
+
+    def recording(a, *args, _svd=np.linalg.svd, **kwargs):
+        redone.append(np.array(a))
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    halves = [side for side in itertools.combinations(range(n), n // 2) if side[0] == 0]
+    cuts = _cut_spectra(state, halves)
+    if t < GRAM_TAIL_FLOOR:
+        assert len(redone) == 1 and len(redone[0]) == 1
+        assert np.array_equal(redone[0][0], _amplitude_matrices(amps, n, [factor])[0])
+    else:
+        assert redone == []
+    monkeypatch.undo()
+    at = halves.index(tuple(factor))
+    assert abs(float(np.sum(cuts[at][0][1:])) - t) <= 1e-14
+    # the cut at the floor and 7 others against the oracle and the SVD route
+    for i in [at, *rng.choice(len(halves), 7, replace=False)]:
+        side, (probs, entropy) = halves[i], cuts[i]
+        reference = svd_schmidt_probs(amps, n, side)
+        assert np.abs(probs - reference).max() <= 1e-14, side
+        assert abs(entropy - entropy_oracle(brute_pure_reduced(amps, n, side))) <= ORACLE_TOL, side
+        assert _product_flag(probs) == _product_flag(reference), side
+
+
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 @pytest.mark.parametrize("n", [10, 12])
-def test_half_cut_stacks_are_solved_on_several_threads(svd_threads, n):
+def test_half_cut_stacks_are_solved_on_several_threads(solve_threads, n):
     sweep(PureState(n, random_pure(np.random.default_rng(610 + n), n)))
-    assert len(set(svd_threads)) > 1
+    assert len(set(solve_threads)) > 1
 
 
-def test_one_cpu_solves_on_the_calling_thread(svd_threads, monkeypatch):
+def test_one_cpu_solves_on_the_calling_thread(solve_threads, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def no_start(thread):
@@ -342,19 +406,19 @@ def test_one_cpu_solves_on_the_calling_thread(svd_threads, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", no_start)
     sweep(PureState(12, random_pure(np.random.default_rng(620), 12)))
-    assert set(svd_threads) == {threading.get_ident()}
+    assert set(solve_threads) == {threading.get_ident()}
 
 
 def test_a_worker_error_leaves_the_pool_and_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     caller = threading.get_ident()
 
-    def failing(a, *args, _svd=np.linalg.svd, **kwargs):
+    def failing(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
         if threading.get_ident() != caller:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return _svd(a, *args, **kwargs)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return _solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         sweep(PureState(10, random_pure(np.random.default_rng(630), 10)))
@@ -362,8 +426,9 @@ def test_a_worker_error_leaves_the_pool_and_no_thread(monkeypatch):
 
 
 def test_levels_are_solved_largest_first(monkeypatch):
-    # The half cut runs before any Gram product, whose BLAS threads would
-    # otherwise still be spinning while the half cut's pool works.
+    # The half cut, the largest level and the only one a pool may solve,
+    # runs first: ascending order measured slower on paired random-sweep
+    # processes (ROADMAP).
     rows = []
     for name in ("svd", "eigvalsh"):
 
