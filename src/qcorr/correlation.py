@@ -162,13 +162,20 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
                 return np.concatenate(list(pool.map(lambda s: _level_probs(amps, n, s), stacks)))
     out = []
     for start in range(0, len(sides), per_stack):
-        mats = _amplitude_matrices(amps, n, sides[start : start + per_stack])
+        stack = sides[start : start + per_stack]
+        mats = _amplitude_matrices(amps, n, stack)
         gram = mats @ mats.conj().transpose(0, 2, 1)
+        if per_stack == 1:
+            # One cut's matrix, as large as the state: freed before the solve.
+            # Smaller stacks keep theirs, as freeing each early made the
+            # allocator return and fault in its pages on every stack.
+            del mats
         values = np.linalg.eigvalsh(gram)[:, ::-1]
         redo = np.sum(values[:, 1:], axis=1) < GRAM_TAIL_FLOOR
         probs = clamp_nonneg(values)
         if redo.any():
-            sv = np.linalg.svd(mats[redo], compute_uv=False)
+            again = [side for side, bad in zip(stack, redo) if bad]
+            sv = np.linalg.svd(_amplitude_matrices(amps, n, again), compute_uv=False)
             probs[redo] = sv * sv
         out.append(probs)
     return np.concatenate(out)
