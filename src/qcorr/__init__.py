@@ -90,7 +90,6 @@ from .report import (  # noqa: E402
     render_table,
     report_to_dict,
     save_state_file,
-    subset_entropy,
     sweep,
 )
 from .states import (  # noqa: E402

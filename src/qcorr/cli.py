@@ -9,10 +9,11 @@ Subcommands: analyze, sweep, entropy, purify. States are given as specs
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
-from .correlation import LN2
+from .correlation import LN2, von_neumann_entropy
 from .errors import QcorrError, SizeCapError
 from .purification import is_maximally_correlated_purification, purify
 from .report import (
@@ -24,7 +25,6 @@ from .report import (
     reduced_operator,
     render_table,
     report_to_dict,
-    subset_entropy,
     sweep,
     _sig12,
 )
@@ -81,31 +81,31 @@ def _print_report(report, as_json: bool) -> None:
     print(json.dumps(report_to_dict(report), indent=2) if as_json else render_table(report))
 
 
+def _state(args):
+    """The state of `--state`, under the cap of `--max-qubits`."""
+    return build_state(parse_state_spec(args.state), args.max_qubits)
+
+
 def _state_and_subset(args):
-    state = build_state(parse_state_spec(args.state), args.max_qubits)
+    state = _state(args)
     return state, parse_subset(args.subset, state.n_qubits)
 
 
 def _cmd_analyze(args) -> int:
-    spec = parse_state_spec(args.state)
-    state = build_state(spec, args.max_qubits)
-    parts = []
-    for chunk in args.partition:
-        parts.extend(parse_partition_list(chunk, state.n_qubits))
+    state = _state(args)
+    parts = [p for chunk in args.partition for p in parse_partition_list(chunk, state.n_qubits)]
     _print_report(analyze(state, parts, units=args.units), args.json)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    spec = parse_state_spec(args.state)
-    report = sweep(spec, size_alpha=args.size_alpha, units=args.units, max_qubits=args.max_qubits)
-    _print_report(report, args.json)
+    _print_report(sweep(_state(args), size_alpha=args.size_alpha, units=args.units), args.json)
     return 0
 
 
 def _cmd_entropy(args) -> int:
     state, subset = _state_and_subset(args)
-    s = subset_entropy(state, subset)
+    s = von_neumann_entropy(state, subset)
     print(f"S({args.subset}) = {_sig12(s)} nats ({_sig12(s / LN2)} bits)")
     return 0
 
@@ -157,7 +157,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # Exit then skips the final collection of the objects the imports left;
+    # atexit handlers and the flush of stdout and stderr still run. Freezing
+    # before main made sweep processes slower.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -60,9 +60,10 @@ def partial_trace(m: np.ndarray, n_qubits: int, keep: Iterable[int]) -> np.ndarr
     cols = [n_qubits + q if q in kept else q for q in range(n_qubits)]
     out = [*kept, *(n_qubits + q for q in kept)]
     t = np.einsum(a.reshape((2,) * (2 * n_qubits)), [*range(n_qubits), *cols], out)
+    t = t.reshape(1 << len(kept), 1 << len(kept))
     # With no qubit traced, einsum returns a view of the input; copy so the
-    # result never aliases `m`.
-    return t.reshape(1 << len(kept), 1 << len(kept)).copy()
+    # result never aliases `m`. Otherwise its output is already fresh.
+    return t.copy() if len(kept) == n_qubits else t
 
 
 def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:

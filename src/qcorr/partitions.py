@@ -301,10 +301,12 @@ def is_product_across(
     rho_a = partial_trace(m, n, a).reshape((2,) * (2 * len(a)))
     rho_b = partial_trace(m, n, b).reshape((2,) * (2 * len(b)))
     # The outer product's axes hold these axes of rho, whose qubit q has row
-    # axis q and column axis n + q; argsort puts them back in rho's order.
+    # axis q and column axis n + q; it is written straight into rho's order.
     held = [*a, *(n + q for q in a), *b, *(n + q for q in b)]
-    product = np.multiply.outer(rho_a, rho_b).transpose(np.argsort(held))
-    return float(np.linalg.norm(m - product.reshape(m.shape))) <= tol
+    diff = np.empty_like(m)
+    np.multiply.outer(rho_a, rho_b, out=diff.reshape((2,) * (2 * n)).transpose(held))
+    diff -= m
+    return float(np.linalg.norm(diff)) <= tol
 
 
 def tradeoff_delta(d1: Decomposition, d2: Decomposition) -> float:

@@ -25,7 +25,6 @@ from .correlation import (
     _regions,
     clamp_nonneg,
     correlation_bounds,
-    von_neumann_entropy,
 )
 from .errors import NotNormalizedError, SizeCapError, SpecParseError, StateFileError
 from .partitions import Partition, _product_flags, decompose_rows, enumerate_bipartitions
@@ -292,8 +291,9 @@ def parse_subset(text: str, n_qubits: int) -> tuple[int, ...]:
         raise SpecParseError(str(e), 0) from None
 
 
-def _resolve_state(spec: StateSpec | PureState, max_qubits: int | None) -> PureState:
-    return spec if isinstance(spec, PureState) else build_state(spec, max_qubits)
+def _resolve_state(spec: StateSpec | PureState) -> PureState:
+    """The state itself, or the state a spec describes under the default size cap."""
+    return spec if isinstance(spec, PureState) else build_state(spec)
 
 
 def _analyze_pure(
@@ -329,47 +329,25 @@ def _analyze_pure(
 
 
 def analyze(
-    spec: StateSpec | PureState,
-    partitions: Sequence[Partition] | str,
-    units: str = "nats",
-    max_qubits: int | None = None,
+    spec: StateSpec | PureState, partitions: Sequence[Partition], units: str = "nats"
 ) -> CorrelationReport:
-    """Correlation report for explicit partitions of one state.
-
-    `partitions` is a list of `Partition`s or text for `parse_partition_list`;
-    `sweep` covers every bipartition.
-    """
-    state = _resolve_state(spec, max_qubits)
-    if isinstance(partitions, str):
-        parts = parse_partition_list(partitions, state.n_qubits)
-    else:
-        parts = list(partitions)
+    """Correlation report for explicit partitions of one state; `sweep`
+    covers every bipartition. Text goes through `parse_partition_list` first."""
+    state = _resolve_state(spec)
+    parts = list(partitions)
     if not parts:
         raise ValueError("need at least one partition")
     return _analyze_pure(state, parts, units)
 
 
 def sweep(
-    spec: StateSpec | PureState,
-    size_alpha: int | None = None,
-    units: str = "nats",
-    max_qubits: int | None = None,
+    spec: StateSpec | PureState, size_alpha: int | None = None, units: str = "nats"
 ) -> CorrelationReport:
     """Correlation report covering every canonical bipartition, solved as
     `correlation.von_neumann_entropy` is (see there for OpenBLAS's threads)."""
-    state = _resolve_state(spec, max_qubits)
+    state = _resolve_state(spec)
     parts = enumerate_bipartitions(state.n_qubits, size_alpha)
     return _analyze_pure(state, parts, units)
-
-
-def subset_entropy(
-    spec: StateSpec | PureState, subset: Sequence[int] | str, max_qubits: int | None = None
-) -> float:
-    """Entropy (nats) of the reduction onto a qubit subset."""
-    state = _resolve_state(spec, max_qubits)
-    if isinstance(subset, str):
-        subset = parse_subset(subset, state.n_qubits)
-    return von_neumann_entropy(state, subset)
 
 
 def _sig12(x: float) -> float:

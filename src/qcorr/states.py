@@ -86,8 +86,9 @@ class DensityOperator:
     entry point for untrusted matrices. The spectrum is cached on first use,
     and `correlation._cut_spectra` memoises each subset's reduced spectrum
     and entropy in `_cuts`, keyed by the bit mask of the subset. Both caches
-    read the matrix once, so it must not be changed in place afterwards:
-    whole-register and subset entropies would then disagree with it.
+    read the matrix once, so `matrix` is set read-only. A C-contiguous
+    complex128 array is kept without a copy, so the caller's array becomes
+    read-only too: a write to it raises instead of leaving the caches stale.
     """
 
     n_qubits: int
@@ -105,7 +106,8 @@ class DensityOperator:
             raise ValueError(f"matrix must be {dim}x{dim}, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):
             raise ValueError("matrix entries must be finite")
-        herm_defect = float(np.max(np.abs(m - m.conj().T)))
+        defect = np.conjugate(m.T, order="C")
+        herm_defect = float(np.max(np.abs(np.subtract(m, defect, out=defect))))
         if herm_defect > HERMITICITY_TOL:
             raise NotHermitianError(
                 f"max |m - m^dagger| entry is {herm_defect:.3e}, "
@@ -114,6 +116,7 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceError(f"trace is {tr!r}, outside 1 +/- {TRACE_TOL}")
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -131,7 +134,8 @@ class DensityOperator:
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     """(m + m^dagger)/2, absorbing the rounding that leaves a computed
     Hermitian matrix slightly off Hermitian."""
-    return (m + m.conj().T) / 2.0
+    out = np.conjugate(m.T, order="C")
+    return np.divide(np.add(out, m, out=out), 2.0, out=out)
 
 
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:

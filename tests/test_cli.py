@@ -374,3 +374,13 @@ def test_any_state_file_exits_0_2_or_3_with_at_most_one_error_line(tmp_path_fact
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == "" and out.getvalue().startswith("S(a) = ")
+
+
+def test_entry_freezes_the_heap_after_main_and_exits_with_its_code(monkeypatch):
+    events = []
+    monkeypatch.setattr(qcorr.cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(qcorr.cli.gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exit_info:
+        qcorr.cli.entry()
+    assert exit_info.value.code == 3
+    assert events == ["main", "freeze"]

@@ -24,7 +24,6 @@ from qcorr import (
     index_of_correlation,
     is_product_across,
     spectral_rank,
-    subset_entropy,
     to_density,
     total_correlation,
     validate_density,
@@ -93,7 +92,6 @@ def test_decompose_pure_matches_decompose_dense(data):
 def test_bad_subsets_raise_index_error_naming_the_subset(bad):
     s = ghz(4)
     calls = [
-        lambda: subset_entropy(s, bad),
         lambda: von_neumann_entropy(s, bad),
         lambda: von_neumann_entropy(to_density(s), bad),
     ]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,12 +24,13 @@ from qcorr import (
     parse_state_spec,
     parse_subset,
     save_state_file,
-    subset_entropy,
     sweep,
     to_density,
     uniform_entangled,
+    von_neumann_entropy,
 )
-from qcorr.report import build_state, render_table, report_to_dict
+from qcorr.report import FILE_NORM_TOL, build_state, render_table, report_to_dict
+from qcorr.states import NORM_TOL
 from helpers import random_pure
 
 LN2 = math.log(2)
@@ -121,6 +123,25 @@ def test_load_state_file_norm_error(tmp_path):
         load_state_file(str(path))
 
 
+def _write_amplitudes(path, amps):
+    pairs = [[float(a.real), float(a.imag)] for a in amps]
+    path.write_text(json.dumps({"n_qubits": int(amps.size).bit_length() - 1, "amplitudes": pairs}))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("scale, ok", [(0.99, True), (1.01, False)])
+def test_state_file_norm_tolerance_edge(tmp_path, scale, ok, sign):
+    path = tmp_path / "edge.json"
+    amps = random_pure(np.random.default_rng(23), 3) * math.sqrt(1 + sign * scale * FILE_NORM_TOL)
+    _write_amplitudes(path, amps)
+    if ok:
+        loaded = load_state_file(str(path))
+        assert abs(float(np.vdot(loaded.amplitudes, loaded.amplitudes).real) - 1) <= NORM_TOL
+    else:
+        with pytest.raises(NotNormalizedError, match=re.escape(str(path))):
+            load_state_file(str(path))
+
+
 def test_state_file_round_trip_bit_exact(tmp_path):
     path = tmp_path / "ghz4.json"
     s = ghz(4)
@@ -135,6 +156,11 @@ def test_state_file_round_trip_bit_exact(tmp_path):
     s2 = PureState(3, random_pure(rng, 3))
     save_state_file(s2, str(path))
     assert np.array_equal(load_state_file(str(path)).amplitudes, s2.amplitudes)
+    # a squared norm off 1 by less than NORM_TOL is kept, not renormalised
+    for sign in (1, -1):
+        s3 = PureState(3, random_pure(rng, 3) * math.sqrt(1 + sign * 0.99 * NORM_TOL))
+        save_state_file(s3, str(path))
+        assert np.array_equal(load_state_file(str(path)).amplitudes, s3.amplitudes)
 
 
 def test_parse_partition_syntaxes():
@@ -192,7 +218,7 @@ def test_parse_subset():
 
 
 def test_analyze_ghz4_natural_cut():
-    report = analyze(parse_state_spec("ghz:4"), "ab|cd")
+    report = analyze(parse_state_spec("ghz:4"), parse_partition_list("ab|cd", 4))
     assert report.n_qubits == 4
     assert abs(report.total_nats - 4 * LN2) < 1e-9
     e = report.entries[0]
@@ -204,7 +230,7 @@ def test_analyze_ghz4_natural_cut():
 
 
 def test_analyze_bell_product_crossed_cut():
-    report = analyze(parse_state_spec("bellpairs:2"), "ac|bd")
+    report = analyze(parse_state_spec("bellpairs:2"), parse_partition_list("ac|bd", 4))
     e = report.entries[0]
     assert abs(e.external - 4 * LN2) < 1e-9
     assert abs(e.internal_alpha) < 1e-9
@@ -213,7 +239,7 @@ def test_analyze_bell_product_crossed_cut():
 
 
 def test_analyze_bell_product_natural_cut_is_product():
-    report = analyze(parse_state_spec("bellpairs:2"), "ab|cd")
+    report = analyze(parse_state_spec("bellpairs:2"), parse_partition_list("ab|cd", 4))
     e = report.entries[0]
     assert e.product_across
     assert abs(e.external) < 1e-9
@@ -221,7 +247,7 @@ def test_analyze_bell_product_natural_cut_is_product():
 
 
 def test_analyze_units_bits():
-    report = analyze(parse_state_spec("ue:4"), "ab|cd", units="bits")
+    report = analyze(parse_state_spec("ue:4"), parse_partition_list("ab|cd", 4), units="bits")
     e = report.entries[0]
     assert abs(e.external / LN2 - 4.0) < 1e-9
     assert report.units == "bits"
@@ -287,7 +313,7 @@ def test_report_totals_partition_invariant():
 
 
 def test_report_json_dict_shape_and_digits():
-    report = analyze(parse_state_spec("ghz:4"), "ab|cd", units="bits")
+    report = analyze(parse_state_spec("ghz:4"), parse_partition_list("ab|cd", 4), units="bits")
     doc = report_to_dict(report)
     assert doc["units"] == "bits"
     assert doc["n_qubits"] == 4
@@ -303,20 +329,21 @@ def test_report_json_dict_shape_and_digits():
 def test_round_trip_file_report_identical(tmp_path):
     path = tmp_path / "state.json"
     save_state_file(ghz(4), str(path))
-    direct = analyze(parse_state_spec("ghz:4"), "ab|cd")
-    via_file = analyze(parse_state_spec(f"file:{path}"), "ab|cd")
+    direct = analyze(parse_state_spec("ghz:4"), parse_partition_list("ab|cd", 4))
+    via_file = analyze(parse_state_spec(f"file:{path}"), parse_partition_list("ab|cd", 4))
     assert report_to_dict(direct) == report_to_dict(via_file)
 
 
 def test_subset_entropy_values():
-    assert abs(subset_entropy(parse_state_spec("ghz:4"), "ab") - LN2) < 1e-9
-    assert abs(subset_entropy(parse_state_spec("ue:4"), "ab") - 2 * LN2) < 1e-9
-    assert subset_entropy(parse_state_spec("ghz:4"), "abcd") < 1e-12
+    ghz4, ue4 = build_state(parse_state_spec("ghz:4")), build_state(parse_state_spec("ue:4"))
+    assert abs(von_neumann_entropy(ghz4, parse_subset("ab", 4)) - LN2) < 1e-9
+    assert abs(von_neumann_entropy(ue4, parse_subset("ab", 4)) - 2 * LN2) < 1e-9
+    assert von_neumann_entropy(ghz4, parse_subset("abcd", 4)) < 1e-12
 
 
 def test_analyze_rejects_bad_units():
     with pytest.raises(ValueError):
-        analyze(parse_state_spec("ghz:4"), "ab|cd", units="trits")
+        analyze(parse_state_spec("ghz:4"), parse_partition_list("ab|cd", 4), units="trits")
 
 def test_analyze_all_partitions_token():
     report = sweep(parse_state_spec("ghz:4"))
@@ -341,8 +368,8 @@ def test_load_state_file_rejects_bools(tmp_path):
 
 def test_zero_entropies_and_correlations_are_positive_zero():
     basis = PureState(1, np.array([1.0, 0.0], dtype=complex))
-    assert math.copysign(1.0, subset_entropy(basis, (0,))) == 1.0
-    report = analyze(ghz(2), "a|b")
+    assert math.copysign(1.0, von_neumann_entropy(basis, (0,))) == 1.0
+    report = analyze(ghz(2), parse_partition_list("a|b", 2))
     assert math.copysign(1.0, report.entries[0].internal_alpha) == 1.0
     assert math.copysign(1.0, report.entries[0].internal_beta) == 1.0
 

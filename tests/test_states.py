@@ -1,6 +1,7 @@
 """Named state constructors and density-operator validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from qcorr import (
     uniform_entangled,
     validate_density,
 )
-from helpers import brute_reduced, entropy_oracle
+from qcorr.states import NORM_TOL, POSITIVITY_TOL
+from helpers import brute_reduced, entropy_oracle, random_pure
 
 LN2 = math.log(2)
 SQRT_HALF = math.sqrt(0.5)
@@ -172,3 +174,36 @@ def test_pure_state_rejects_unnormalized():
     # finite amplitudes whose squared norm overflows: vdot gives nan
     with pytest.raises(NotNormalizedError, match="nan"):
         PureState(2, np.array([1.0, 0.0, 0.0, 1e308 + 1e308j]))
+
+
+def test_a_kept_matrix_is_read_only_so_cached_entropies_cannot_go_stale():
+    m = np.eye(4, dtype=complex) / 4
+    op = validate_density(m, 2)
+    assert op.matrix is m
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 0.5
+    copied = validate_density(np.eye(4) / 4, 2)  # float input: a private copy
+    with pytest.raises(ValueError, match="read-only"):
+        copied.matrix[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("scale, ok", [(0.99, True), (1.01, False)])
+def test_positivity_tolerance_edge(scale, ok):
+    low = -scale * POSITIVITY_TOL
+    m = np.diag([0.5 - low, 0.5, 0.0, low]).astype(complex)
+    if ok:
+        assert validate_density(m, 2).spectrum[0] == pytest.approx(low, rel=1e-6)
+    else:
+        with pytest.raises(NotPositiveError, match=re.escape(f"{low:.3e}")):
+            validate_density(m, 2)
+
+
+@pytest.mark.parametrize("scale, ok", [(0.99, True), (1.01, False)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pure_state_norm_tolerance_edge(scale, ok, sign):
+    amps = random_pure(np.random.default_rng(17), 3) * math.sqrt(1 + sign * scale * NORM_TOL)
+    if ok:
+        PureState(3, amps)
+    else:
+        with pytest.raises(NotNormalizedError, match="squared norm"):
+            PureState(3, amps)
