@@ -8,7 +8,6 @@ S(rho_alpha) + S(rho_beta) - S(rho).
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import threading
@@ -19,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import partial_trace
+from .linalg import _SET_BLAS_THREADS, partial_trace
 from .states import (
     DensityOperator,
     PureState,
@@ -51,10 +50,6 @@ MAX_STACK_AMPLITUDES = 1 << 16
 GRAM_TAIL_FLOOR = 1e-12
 
 
-try:  # OpenBLAS's setter in the library numpy links: int count in, previous count out
-    _SET_BLAS_THREADS = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
-except (AttributeError, OSError):  # another BLAS, or an OpenBLAS without it
-    _SET_BLAS_THREADS = None
 _BLAS_LOCK = threading.Lock()
 _blas_pin = [0, 0]  # blocks now in `_one_blas_thread`, and the count the first found
 

@@ -6,6 +6,7 @@ most significant bit of the row/column index (see `qcorr.states`).
 
 from __future__ import annotations
 
+import ctypes
 import operator
 from typing import Iterable, Sequence
 
@@ -16,6 +17,32 @@ from .states import PureState, _check_subset
 
 #: Kronecker products refuse to allocate beyond this many matrix entries.
 MAX_KRON_ENTRIES = 1 << 24
+
+try:  # the OpenBLAS, with its LAPACK, that numpy links
+    _OPENBLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+except (AttributeError, OSError):
+    _OPENBLAS = None
+# Each symbol below is None under another BLAS, or an OpenBLAS without it.
+#: OpenBLAS's per-caller thread count setter: int count in, previous count out.
+_SET_BLAS_THREADS = getattr(_OPENBLAS, "openblas_set_num_threads_local", None)
+if _SET_BLAS_THREADS is not None:
+    _SET_BLAS_THREADS.argtypes, _SET_BLAS_THREADS.restype = [ctypes.c_int], ctypes.c_int
+#: LAPACK's subset Hermitian eigensolver, as numpy's ILP64 scipy-openblas
+#: names it; every integer argument is 64-bit.
+_ZHEEVR = getattr(_OPENBLAS, "scipy_zheevr_64_", None)
+if _ZHEEVR is not None:
+    _INT, _REAL = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    _ARRAY = ctypes.c_void_p
+    _ZHEEVR.restype = None
+    _ZHEEVR.argtypes = [
+        *[ctypes.c_char_p] * 3,  # JOBZ, RANGE, UPLO
+        _INT, _ARRAY, _INT,  # N, A, LDA
+        _REAL, _REAL, _INT, _INT, _REAL,  # VL, VU, IL, IU, ABSTOL
+        _INT, _ARRAY, _ARRAY, _INT, _ARRAY,  # M, W, Z, LDZ, ISUPPZ
+        _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT,  # WORK, LWORK, RWORK, LRWORK, IWORK, LIWORK
+        _INT,  # INFO
+        *[ctypes.c_size_t] * 3,  # the lengths of JOBZ, RANGE and UPLO
+    ]
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
@@ -86,3 +113,64 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     amps = state.amplitudes.reshape((2,) * n).transpose(inverse).reshape(-1)
     return PureState(n, amps.copy())
 
+
+def top_eigenpairs(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r largest eigenpairs of the Hermitian matrix `a`, as the last r
+    of `np.linalg.eigh`: values ascending, vectors as columns. `a` may be
+    overwritten.
+
+    When 2r <= dim and numpy's OpenBLAS exports zheevr, only those r pairs
+    are solved for, by bisection and inverse iteration (LAPACK Users'
+    Guide, section 2.4.4). Otherwise `np.linalg.eigh` solves for all: above
+    dim/2 it is the faster, and for r = dim zheevr would switch to MRRR,
+    whose vectors were orthogonal to 1e-12 against eigh's 3e-15.
+    """
+    dim = len(a)
+    if 2 * r > dim or _ZHEEVR is None:
+        values, vectors = np.linalg.eigh(a)
+        return values[dim - r :], vectors[:, dim - r :]
+    return _zheevr_top(a, r)
+
+
+def _zheevr_top(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """zheevr with RANGE='I' for eigenpairs dim-r+1..dim; overwrites `a`.
+
+    Fortran reads the C-ordered `a` as its transpose, which for a Hermitian
+    matrix is conj(a): same eigenvalues, conjugate eigenvectors. The vectors
+    are conjugated back, so `a` needs no copy. Raises LinAlgError when LAPACK
+    reports an error or finds other than r pairs.
+    """
+    a = np.require(_as_square(a), requirements=["C", "W"])  # no copy of a working matrix
+    dim = len(a)
+    if not 0 < r <= dim:
+        raise ValueError(f"cannot solve for {r} eigenpairs of a {dim} x {dim} matrix")
+    i64, byref = ctypes.c_int64, ctypes.byref
+    values = np.empty(dim)
+    z = np.empty((r, dim), dtype=np.complex128)  # Fortran's dim x r, column by row
+    isuppz = np.empty(2 * r, dtype=np.int64)
+    found, info = i64(), i64()
+
+    # VL and VU go unread with RANGE='I'; ABSTOL 0 takes LAPACK's default,
+    # the machine epsilon times the norm of the tridiagonal form.
+    def call(work, lwork, rwork, lrwork, iwork, liwork):
+        _ZHEEVR(
+            b"V", b"I", b"L", byref(i64(dim)), a.ctypes, byref(i64(dim)),
+            byref(ctypes.c_double()), byref(ctypes.c_double()),
+            byref(i64(dim - r + 1)), byref(i64(dim)), byref(ctypes.c_double()),
+            byref(found), values.ctypes, z.ctypes, byref(i64(dim)), isuppz.ctypes,
+            work.ctypes, byref(i64(lwork)), rwork.ctypes, byref(i64(lrwork)),
+            iwork.ctypes, byref(i64(liwork)), byref(info), 1, 1, 1,
+        )
+
+    # A first call with every workspace length -1 only writes the sizes it wants.
+    work, rwork, iwork = np.empty(1, np.complex128), np.empty(1), np.empty(1, np.int64)
+    call(work, -1, rwork, -1, iwork, -1)
+    if info.value == 0:
+        lwork, lrwork, liwork = int(work[0].real), int(rwork[0]), int(iwork[0])
+        work, rwork = np.empty(lwork, np.complex128), np.empty(lrwork)
+        call(work, lwork, rwork, lrwork, np.empty(liwork, np.int64), liwork)
+    if info.value != 0 or found.value != r:
+        raise np.linalg.LinAlgError(
+            f"zheevr returned info {info.value} and {found.value} of {r} eigenpairs"
+        )
+    return values[:r], np.conjugate(z, out=z).T

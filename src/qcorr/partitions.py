@@ -142,12 +142,19 @@ def decompose_rows(
     state. (A pure state's S(beta) is the memo entry of S(alpha).) Per
     row, internal = the side's single-qubit entropies minus its entropy,
     external = S(alpha) + S(beta) - S, and the slacks are S - |S(alpha) -
-    S(beta)| and S(alpha) + S(beta) - S. Raises PartitionError if a
-    partition does not cover the state and ArithmeticError if a row's parts
-    miss its total by more than `IDENTITY_TOL`.
+    S(beta)| and S(alpha) + S(beta) - S. Raises TypeError for an entry that
+    is not a Partition (text goes through `report.parse_partition_list`
+    first), PartitionError if a partition does not cover the state and
+    ArithmeticError if a row's parts miss its total by more than
+    `IDENTITY_TOL`.
     """
     n, m = state.n_qubits, len(parts)
     for part in parts:
+        if not isinstance(part, Partition):
+            raise TypeError(
+                f"expected Partition entries, got {part!r} in {parts!r}; "
+                "parse text with report.parse_partition_list first"
+            )
         part.check_size(n)
     alphas = [part.alpha for part in parts]
     betas = [part.beta for part in parts]

@@ -13,10 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import LN2, total_correlation
+from .linalg import top_eigenpairs
 from .states import DensityOperator, PureState, _symmetrize, hermitian_spectrum
 
 #: Eigenvalues at or below this threshold are treated as numerical noise.
 RANK_THRESHOLD = 1e-10
+
+#: An eigenvector's leading component, whose phase `purify` fixes real
+#: positive, is its first above this fraction of its largest magnitude.
+LEAD_CUTOFF = 1e-12
+
+#: Eigenvectors tied on eigenvalue and leading index are ordered by their
+#: (re, im) entries rounded to this many decimals.
+TIE_DIGITS = 12
 
 MAXCORR_TOL = 1e-8
 
@@ -57,19 +66,17 @@ def purify(rho: DensityOperator) -> PurificationResult:
     that is the purification's reduction onto the system, computed without
     the 4^(n+k)-entry density operator of the purified state.
 
-    The rank is `spectral_rank(rho)`, so `purify` and `min_purifying_qubits`
-    always agree: an operator whose spectrum is not yet cached gets eigh's
-    eigenvalues as its spectrum, at no extra solve.
+    The rank r is `spectral_rank(rho)`, read from the cached spectrum (one
+    `eigvalsh` if it is not cached yet), so `purify` and
+    `min_purifying_qubits` always agree. Only the r largest eigenpairs are
+    then solved for (`linalg.top_eigenpairs`): by LAPACK's subset solver
+    when 2r <= 2^n, by `np.linalg.eigh` above that or where numpy's BLAS
+    lacks the subset solver.
     """
     n = rho.n_qubits
-    values, vectors = np.linalg.eigh(_symmetrize(rho.matrix))
-    if "spectrum" not in vars(rho):  # fill the cached property with eigh's values
-        values.setflags(write=False)
-        vars(rho)["spectrum"] = values
-    first = len(values) - spectral_rank(rho)
-    values, vectors = values[first:], vectors[:, first:]
+    values, vectors = top_eigenpairs(_symmetrize(rho.matrix), spectral_rank(rho))
     mags = np.abs(vectors)
-    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    lead = np.argmax(mags > LEAD_CUTOFF * mags.max(axis=0), axis=0)
     pivot = vectors[lead, np.arange(len(values))]
     # np.hypot is the scalar abs(); the SIMD np.abs of an array can differ in
     # the last bit, and the phase is part of the output, bit for bit.
@@ -84,7 +91,8 @@ def purify(rho: DensityOperator) -> PurificationResult:
     for start, stop in zip(edges[0::2], edges[1::2] + 1):
         run = order[start:stop]
         tie = vectors[:, run]  # keys: rows re_0, im_0, re_1, im_1, ... reversed
-        entries = np.stack([np.round(tie.real, 12), np.round(tie.imag, 12)], axis=1)
+        re, im = np.round(tie.real, TIE_DIGITS), np.round(tie.imag, TIE_DIGITS)
+        entries = np.stack([re, im], axis=1)
         order[start:stop] = run[np.lexsort(entries.reshape(-1, len(run))[::-1])]
     values, vectors = values[order], vectors[:, order]
 

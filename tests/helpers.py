@@ -121,27 +121,31 @@ def tilted_four_qubit(u: float) -> np.ndarray:
 def reference_purification_table(m: np.ndarray) -> np.ndarray:
     """Purified amplitudes of a density matrix, ordered by a per-vector sort.
 
-    The eigenvectors kept (eigenvalue above 1e-10) are each phase-fixed so
-    their leading component above 1e-12 of the largest is real positive,
-    then sorted by the key (-eigenvalue, leading index, rounded (re, im)
-    entries) and scaled by sqrt(eigenvalue). `purify` must reproduce these
-    amplitudes bit for bit.
+    The eigenpairs kept are the r largest, r the count of eigenvalues above
+    `RANK_THRESHOLD`, taken from `linalg.top_eigenpairs` as `purify` takes
+    them, so the two meet the same vectors whichever solver runs. Each is
+    phase-fixed so its leading component above `LEAD_CUTOFF` of the largest
+    is real positive, then sorted by the key (-eigenvalue, leading index,
+    (re, im) entries rounded to `TIE_DIGITS` decimals) and scaled by
+    sqrt(eigenvalue). `purify` must reproduce these amplitudes bit for bit.
     """
     import math
 
-    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
+    from qcorr.linalg import top_eigenpairs
+    from qcorr.purification import LEAD_CUTOFF, RANK_THRESHOLD, TIE_DIGITS
+
+    sym = (m + m.conj().T) / 2.0
+    rank = int(np.count_nonzero(np.linalg.eigvalsh(sym) > RANK_THRESHOLD))
+    values, vectors = top_eigenpairs(sym, rank)
     fixed = []
     for i in range(len(values)):
-        if values[i] <= 1e-10:
-            continue
         v = vectors[:, i]
         mags = np.abs(v)
-        lead = int(np.argmax(mags > 1e-12 * float(mags.max())))
+        lead = int(np.argmax(mags > LEAD_CUTOFF * float(mags.max())))
         v = v / (v[lead] / abs(v[lead]))
-        key = (lead, tuple(zip(np.round(v.real, 12), np.round(v.imag, 12))))
+        key = (lead, tuple(zip(np.round(v.real, TIE_DIGITS), np.round(v.imag, TIE_DIGITS))))
         fixed.append((float(values[i]), key, v))
     fixed.sort(key=lambda t: (-t[0], t[1]))
-    rank = len(fixed)
     k = max(int(math.ceil(math.log2(rank))), 0) if rank > 1 else 0
     table = np.zeros((len(m), 1 << k), dtype=np.complex128)
     for i, (lam, _, v) in enumerate(fixed):

@@ -23,7 +23,7 @@ from qcorr import (
     uniform_entangled,
     validate_density,
 )
-from qcorr.report import parse_partition
+from qcorr.report import analyze, parse_partition
 from helpers import (
     brute_index_of_correlation,
     brute_reduced,
@@ -74,6 +74,19 @@ def test_decompose_uniform_entangled():
 def test_decompose_rejects_mismatched_partition():
     with pytest.raises(PartitionError):
         decompose(to_density(ghz(4)), Partition((0,), (1,)))
+
+
+def test_text_where_partitions_belong_raises_type_error_naming_the_entry():
+    # Text iterates as characters, so analyze meets 'a' first.
+    calls = [
+        (lambda: decompose(to_density(ghz(4)), "ab|cd"), "'ab|cd'"),
+        (lambda: analyze(ghz(4), "ab|cd"), "'a'"),
+        (lambda: analyze(ghz(4), [parse_partition("ab|cd", 4), "ac|bd"]), "'ac|bd'"),
+    ]
+    for call, bad in calls:
+        with pytest.raises(TypeError, match="parse_partition_list") as info:
+            call()
+        assert f"got {bad} in" in str(info.value)
 
 
 def test_decompose_additivity_random():

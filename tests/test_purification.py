@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qcorr.linalg
 from qcorr import (
     DensityOperator,
     Partition,
@@ -31,6 +32,9 @@ from helpers import (
 from qcorr import PureState
 
 LN2 = math.log(2)
+
+#: The two solver routes of `linalg.top_eigenpairs`.
+ROUTES = ("eigh", "subset")
 
 
 def ghz_reduction():
@@ -182,27 +186,55 @@ def test_purify_matches_the_per_vector_sort_bit_for_bit(make):
     assert got.tobytes() == reference_purification_table(rho.matrix).tobytes()
 
 
+def _solved_as_given(monkeypatch, route, values, vectors):
+    """(purify's amplitudes, the reference's) on an operator of rank r =
+    len(values) whose solver on `route` returns `values` and `vectors`.
+
+    "eigh" takes I/r, of rank r = dim, and patches `np.linalg.eigh`;
+    "subset" takes diag(1/r, ..., 0, ...) of dimension 2r, patches the
+    subset solve, and pads each vector with r zero rows. The other solver
+    raises, so the input must reach the patched one."""
+    r = len(values)
+
+    def other_solver(*args):
+        raise AssertionError(f"{route} input reached the other solver")
+
+    if route == "eigh":
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (values, vectors))
+        monkeypatch.setattr(qcorr.linalg, "_zheevr_top", other_solver)
+        rho = validate_density(np.eye(r) / r, r.bit_length() - 1)
+    else:
+        padded = np.vstack([vectors, np.zeros_like(vectors)])
+        monkeypatch.setattr(qcorr.linalg, "_ZHEEVR", other_solver)  # present on any BLAS
+        monkeypatch.setattr(qcorr.linalg, "_zheevr_top", lambda a, k: (values, padded))
+        monkeypatch.setattr(np.linalg, "eigh", other_solver)
+        diag = np.concatenate([np.full(r, 1 / r), np.zeros(r)])
+        rho = validate_density(np.diag(diag).astype(complex), r.bit_length())
+    return purify(rho).purified.amplitudes, reference_purification_table(rho.matrix)
+
+
 def test_purify_breaks_full_ties_by_the_entries_as_the_reference_does(monkeypatch):
     # Four equal eigenvalues of unit eigenvectors whose leading entries have
     # assorted phases. Three have leading magnitude 0.5, so only their other
     # (re, im) entries can order them; the fourth, 1e-6, must still count
-    # as leading. eigh rarely returns such exact ties, so it is made to.
+    # as leading. A solver rarely returns such exact ties, so each route's
+    # is made to.
     top = np.array([0.5j, -0.5, 0.5 * np.exp(1j), 1e-6j])
     rng = np.random.default_rng(102)
     rest = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     rest *= np.sqrt(1 - np.abs(top) ** 2) / np.linalg.norm(rest, axis=0)
     vectors = np.vstack([top, rest])
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.full(4, 0.25), vectors))
-    rho = validate_density(np.eye(4) / 4, 2)
-    got = purify(rho).purified.amplitudes
-    assert got.tobytes() == reference_purification_table(rho.matrix).tobytes()
+    for route in ROUTES:
+        got, want = _solved_as_given(monkeypatch, route, np.full(4, 0.25), vectors)
+        assert got.tobytes() == want.tobytes(), route
 
 
 def test_purify_fixes_any_leading_phase_as_the_reference_does(monkeypatch):
     # eigh's eigenvectors have a real first entry, so a general complex phase
     # is divided out only when that entry is 0 and the leading one lies below
     # it, here in rows 1 to 3. The phase must be computed as the reference's
-    # scalar v[lead] / abs(v[lead]), bit for bit, at any such phase.
+    # scalar v[lead] / abs(v[lead]), bit for bit, at any such phase, on
+    # either solver's route.
     for seed in range(20):
         rng = np.random.default_rng(seed)
         vectors = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -211,10 +243,9 @@ def test_purify_fixes_any_leading_phase_as_the_reference_does(monkeypatch):
         vectors /= np.linalg.norm(vectors, axis=0)
         values = np.sort(rng.random(8))
         values /= values.sum()
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: (values, vectors))
-        rho = validate_density(np.eye(8) / 8, 3)
-        got = purify(rho).purified.amplitudes
-        assert got.tobytes() == reference_purification_table(rho.matrix).tobytes(), seed
+        for route in ROUTES:
+            got, want = _solved_as_given(monkeypatch, route, values, vectors)
+            assert got.tobytes() == want.tobytes(), (seed, route)
 
 
 def _fifth_eigenvalue_at_the_threshold(rng):
@@ -251,9 +282,9 @@ def test_purify_orders_separate_tie_groups_by_their_entries(monkeypatch):
     # only the value (0.05, 2) and (0.05, 3). Only the two tie groups are
     # ordered by their entries, so a run that starts or stops one column
     # off moves a vector. Leading magnitudes fall with the column, so each
-    # group's order is the reverse of eigh's. Each leading entry's phase is
-    # a power of i, which the vectorised phase fix and the reference's
-    # per-vector one both divide out exactly.
+    # group's order is the reverse of the solver's. Each leading entry's
+    # phase is a power of i, which the vectorised phase fix and the
+    # reference's per-vector one both divide out exactly.
     rng = np.random.default_rng(103)
     keys = [(0.2, 0), (0.1, 2), (0.05, 3), (0.2, 1), (0.2, 0), (0.05, 2), (0.1, 2), (0.2, 0)]
     vectors = np.zeros((8, 8), dtype=np.complex128)
@@ -263,7 +294,82 @@ def test_purify_orders_separate_tie_groups_by_their_entries(monkeypatch):
         vectors[lead, col] = top * 1j**col
         vectors[lead + 1 :, col] = rest * math.sqrt(1 - top * top) / np.linalg.norm(rest)
     values = np.array([value for value, _ in keys])
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (values, vectors))
-    rho = validate_density(np.eye(8) / 8, 3)
-    got = purify(rho).purified.amplitudes
-    assert got.tobytes() == reference_purification_table(rho.matrix).tobytes()
+    for route in ROUTES:
+        got, want = _solved_as_given(monkeypatch, route, values, vectors)
+        assert got.tobytes() == want.tobytes(), route
+
+
+def _projector(n: int, rank: int) -> DensityOperator:
+    return validate_density(np.diag(np.arange(1 << n) < rank) / rank + 0j, n)
+
+
+#: Operators of rank at most half their dimension, and above it: random,
+#: of exact rank, and with degenerate spectra.
+ROUTE_CASES = {
+    "eye8": lambda: validate_density(np.eye(8) / 8, 3),
+    "eye-rank4-of16": lambda: _projector(4, 4),
+    "ghz6-a": lambda: reduced_operator(ghz(6), (0,)),
+    "ghz6-abcd": lambda: reduced_operator(ghz(6), (0, 1, 2, 3)),
+    "bellpairs3-abc": lambda: reduced_operator(bell_product(3), (0, 1, 2)),
+    "bellpairs4-abce": lambda: reduced_operator(bell_product(4), (0, 1, 2, 4)),
+    "bellpairs3-ace": lambda: reduced_operator(bell_product(3), (0, 2, 4)),
+    "ue3-abcd": lambda: reduced_operator(uniform_entangled(3), (0, 1, 2, 3)),
+    "ue2-ab": lambda: reduced_operator(uniform_entangled(2), (0, 1)),
+    "n4r3": lambda: _random_of_rank(111, 4, 3),
+    "n6r32": lambda: _random_of_rank(112, 6, 32),
+    "n6r33": lambda: _random_of_rank(113, 6, 33),
+    "n7r100": lambda: _random_of_rank(114, 7, 100),
+    "n8r1": lambda: _random_of_rank(115, 8, 1),
+}
+
+
+@pytest.mark.skipif(qcorr.linalg._ZHEEVR is None, reason="numpy's LAPACK has no zheevr_64")
+@pytest.mark.parametrize("make", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
+def test_the_subset_solve_and_eigh_purify_alike(make, monkeypatch):
+    rho = make()
+    n, r = rho.n_qubits, spectral_rank(rho)
+    sym = (rho.matrix + rho.matrix.conj().T) / 2
+    results, values = [], []
+    for hide in (False, True):  # the subset route where 2r <= dim, then eigh
+        if hide:
+            monkeypatch.setattr(qcorr.linalg, "_ZHEEVR", None)
+        values.append(qcorr.linalg.top_eigenpairs(sym.copy(), r)[0])
+        results.append(purify(rho))
+    assert np.max(np.abs(values[0] - values[1])) <= 1e-14
+    subset, full = results
+    assert subset.ancilla_qubits == full.ancilla_qubits
+    flags = [is_maximally_correlated_purification(x) for x in results]
+    assert flags[0] == flags[1]
+    grams = []
+    for x in results:
+        table = x.purified.amplitudes.reshape(1 << n, -1)
+        grams.append(table @ table.conj().T)
+    assert np.max(np.abs(grams[0] - grams[1])) <= 1e-13
+    assert subset.residual <= 1e-12 and full.residual <= 1e-12
+
+
+@pytest.mark.parametrize("hide", [False, True], ids=["symbol", "no-symbol"])
+def test_the_subset_solve_runs_exactly_when_2r_fits_the_dimension(hide, monkeypatch):
+    if hide:
+        monkeypatch.setattr(qcorr.linalg, "_ZHEEVR", None)
+    elif qcorr.linalg._ZHEEVR is None:
+        pytest.skip("numpy's LAPACK has no zheevr_64")
+    calls = []
+
+    def spy(name, solve):
+        def wrapped(*args):
+            calls.append(name)
+            return solve(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(qcorr.linalg, "_zheevr_top", spy("subset", qcorr.linalg._zheevr_top))
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    cases = [*ROUTE_CASES.values(), lambda: _random_of_rank(116, 10, 32)]
+    for make in cases:
+        rho = make()
+        r = spectral_rank(rho)
+        calls.clear()
+        assert purify(rho).residual <= 1e-12
+        subset = 2 * r <= rho.dim and not hide
+        assert calls == (["subset"] if subset else ["eigh"]), (rho.n_qubits, r)
