@@ -7,6 +7,7 @@ most significant bit of the row/column index (see `qcorr.states`).
 from __future__ import annotations
 
 import ctypes
+import math
 import operator
 from typing import Iterable, Sequence
 
@@ -27,22 +28,56 @@ except (AttributeError, OSError):
 _SET_BLAS_THREADS = getattr(_OPENBLAS, "openblas_set_num_threads_local", None)
 if _SET_BLAS_THREADS is not None:
     _SET_BLAS_THREADS.argtypes, _SET_BLAS_THREADS.restype = [ctypes.c_int], ctypes.c_int
-#: LAPACK's subset Hermitian eigensolver, as numpy's ILP64 scipy-openblas
-#: names it; every integer argument is 64-bit.
-_ZHEEVR = getattr(_OPENBLAS, "scipy_zheevr_64_", None)
-if _ZHEEVR is not None:
-    _INT, _REAL = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-    _ARRAY = ctypes.c_void_p
-    _ZHEEVR.restype = None
-    _ZHEEVR.argtypes = [
-        *[ctypes.c_char_p] * 3,  # JOBZ, RANGE, UPLO
-        _INT, _ARRAY, _INT,  # N, A, LDA
-        _REAL, _REAL, _INT, _INT, _REAL,  # VL, VU, IL, IU, ABSTOL
-        _INT, _ARRAY, _ARRAY, _INT, _ARRAY,  # M, W, Z, LDZ, ISUPPZ
-        _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT,  # WORK, LWORK, RWORK, LRWORK, IWORK, LIWORK
-        _INT,  # INFO
-        *[ctypes.c_size_t] * 3,  # the lengths of JOBZ, RANGE and UPLO
-    ]
+# numpy's ILP64 scipy-openblas LAPACK: every integer argument is 64-bit, and
+# gfortran passes each character argument's length after all the others.
+_INT, _REAL = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+_ARRAY, _CHAR, _LEN = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+
+
+def _lapack(name: str, *argtypes):
+    routine = getattr(_OPENBLAS, f"scipy_{name}_64_", None)
+    if routine is not None:
+        routine.restype, routine.argtypes = None, list(argtypes)
+    return routine
+
+
+#: Householder reduction of a Hermitian matrix to real tridiagonal form.
+_ZHETRD = _lapack(
+    "zhetrd",
+    _CHAR, _INT, _ARRAY, _INT,  # UPLO, N, A, LDA
+    _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT, _INT,  # D, E, TAU, WORK, LWORK, INFO
+    _LEN,
+)
+#: Every eigenvalue of a real symmetric tridiagonal matrix (Pal-Walker-Kahan QL/QR).
+_DSTERF = _lapack("dsterf", _INT, _ARRAY, _ARRAY, _INT)  # N, D, E, INFO
+#: Chosen eigenvalues of a real symmetric tridiagonal matrix, by bisection.
+_DSTEBZ = _lapack(
+    "dstebz",
+    _CHAR, _CHAR, _INT, _REAL, _REAL, _INT, _INT, _REAL,  # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL
+    _ARRAY, _ARRAY, _INT, _INT, _ARRAY,  # D, E, M, NSPLIT, W
+    _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT,  # IBLOCK, ISPLIT, WORK, IWORK, INFO
+    _LEN, _LEN,
+)
+#: The eigenvectors of given eigenvalues of that matrix, by inverse iteration.
+_ZSTEIN = _lapack(
+    "zstein",
+    _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY,  # N, D, E, M, W, IBLOCK, ISPLIT
+    _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY, _INT,  # Z, LDZ, WORK, IWORK, IFAIL, INFO
+)
+#: Multiplies by the unitary matrix of zhetrd's reduction.
+_ZUNMTR = _lapack(
+    "zunmtr",
+    _CHAR, _CHAR, _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY,  # SIDE, UPLO, TRANS, M, N, A, LDA, TAU
+    _ARRAY, _INT, _ARRAY, _INT, _INT,  # C, LDC, WORK, LWORK, INFO
+    _LEN, _LEN, _LEN,
+)
+
+# zheevr scales a matrix whose largest entry magnitude lies outside
+# [_SCALE_MIN, _SCALE_MAX] before zhetrd; zheevd, under np.linalg.eigvalsh,
+# has the same lower bound and a wider upper one.
+_SAFE_MIN, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
+_SCALE_MIN = math.sqrt(_SAFE_MIN / _EPS)
+_SCALE_MAX = min(math.sqrt(_EPS / _SAFE_MIN), 1 / math.sqrt(math.sqrt(_SAFE_MIN)))
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
@@ -114,63 +149,128 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     return PureState(n, amps.copy())
 
 
-def top_eigenpairs(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The r largest eigenpairs of the Hermitian matrix `a`, as the last r
-    of `np.linalg.eigh`: values ascending, vectors as columns. `a` may be
-    overwritten.
+def _i64(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
 
-    When 2r <= dim and numpy's OpenBLAS exports zheevr, only those r pairs
-    are solved for, by bisection and inverse iteration (LAPACK Users'
-    Guide, section 2.4.4). Otherwise `np.linalg.eigh` solves for all: above
-    dim/2 it is the faster, and for r = dim zheevr would switch to MRRR,
-    whose vectors were orthogonal to 1e-12 against eigh's 3e-15.
+
+def _check(routine: str, info: ctypes.c_int64) -> None:
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"{routine} returned info {info.value}")
+
+
+class TridiagonalForm:
+    """A Hermitian matrix reduced once by LAPACK zhetrd, Q^H A Q = T, with T
+    real symmetric tridiagonal; made by `tridiagonal_form`.
+
+    Both the full spectrum and any number of the largest eigenpairs are read
+    from this one reduction, the O(dim^3) part of every dense Hermitian solve
+    (Golub & Van Loan, Matrix Computations, section 8.3). Fortran reads the
+    C-ordered matrix as its transpose, which for a Hermitian matrix is its
+    conjugate: same eigenvalues, conjugate eigenvectors.
     """
-    dim = len(a)
-    if 2 * r > dim or _ZHEEVR is None:
-        values, vectors = np.linalg.eigh(a)
-        return values[dim - r :], vectors[:, dim - r :]
-    return _zheevr_top(a, r)
+
+    def __init__(self, a: np.ndarray):
+        a = np.require(_as_square(a), requirements=["C", "W"])  # no copy of a working matrix
+        self._a = a  # zhetrd's Householder vectors, read by zunmtr
+        dim = len(a)
+        self._d, self._e = np.empty(dim), np.empty(dim - 1)
+        self._tau = np.empty(dim - 1, np.complex128)
+        info = ctypes.c_int64()
+
+        def call(work: np.ndarray, lwork: int) -> None:
+            _ZHETRD(
+                b"L", _i64(dim), a.ctypes, _i64(dim), self._d.ctypes, self._e.ctypes,
+                self._tau.ctypes, work.ctypes, _i64(lwork), ctypes.byref(info), 1,
+            )
+            _check("zhetrd", info)
+
+        # A first call with LWORK -1 only writes the length it wants, NB * dim,
+        # which zheevr also hands to zunmtr: a shorter workspace moves the
+        # vectors' last bits.
+        query = np.empty(1, np.complex128)
+        call(query, -1)
+        self._work = np.empty(int(query[0].real), np.complex128)
+        call(self._work, len(self._work))
+
+    def eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue, ascending, by dsterf on copies of T: the route
+        and the bits of `np.linalg.eigvalsh` (zheevd), which reduces alike."""
+        values, e = self._d.copy(), self._e.copy()
+        info = ctypes.c_int64()
+        _DSTERF(_i64(len(values)), values.ctypes, e.ctypes, ctypes.byref(info))
+        _check("dsterf", info)
+        return values
+
+    def top_eigenpairs(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """The r largest eigenpairs, as the last r of `np.linalg.eigh`:
+        values ascending, vectors as columns.
+
+        This is zheevr's route for RANGE='I' below full range: dstebz
+        bisects T for eigenvalues dim-r+1..dim (ABSTOL 0, LAPACK's default
+        of the machine epsilon times T's norm), zstein finds their vectors by
+        inverse iteration, zunmtr takes them back through Q, and zheevr's
+        selection sort orders the values split blocks left unsorted (LAPACK
+        Users' Guide, section 2.4.4). The pairs equal zheevr's bit for bit.
+        Raises LinAlgError when LAPACK reports an error or finds other than r
+        eigenvalues.
+        """
+        dim = len(self._d)
+        if not 0 < r <= dim:
+            raise ValueError(f"cannot solve for {r} eigenpairs of a {dim} x {dim} matrix")
+        found, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+        values = np.empty(dim)
+        block, split = np.empty(dim, np.int64), np.empty(dim, np.int64)
+        rwork, iwork = np.empty(5 * dim), np.empty(3 * dim, np.int64)
+        # VL and VU go unread with RANGE='I'; ORDER='B' keeps the block
+        # numbers zstein reads.
+        _DSTEBZ(
+            b"I", b"B", _i64(dim), ctypes.byref(ctypes.c_double()),
+            ctypes.byref(ctypes.c_double()), _i64(dim - r + 1), _i64(dim),
+            ctypes.byref(ctypes.c_double(0.0)), self._d.ctypes, self._e.ctypes,
+            ctypes.byref(found), ctypes.byref(nsplit), values.ctypes, block.ctypes,
+            split.ctypes, rwork.ctypes, iwork.ctypes, ctypes.byref(info), 1, 1,
+        )
+        _check("dstebz", info)
+        if found.value != r:
+            raise np.linalg.LinAlgError(f"dstebz found {found.value} of {r} eigenvalues")
+        z = np.empty((r, dim), dtype=np.complex128)  # Fortran's dim x r, column by row
+        failed = np.empty(r, np.int64)
+        _ZSTEIN(
+            _i64(dim), self._d.ctypes, self._e.ctypes, ctypes.byref(found), values.ctypes,
+            block.ctypes, split.ctypes, z.ctypes, _i64(dim), rwork.ctypes, iwork.ctypes,
+            failed.ctypes, ctypes.byref(info),
+        )
+        _check("zstein", info)
+        _ZUNMTR(
+            b"L", b"L", b"N", _i64(dim), _i64(r), self._a.ctypes, _i64(dim),
+            self._tau.ctypes, z.ctypes, _i64(dim), self._work.ctypes,
+            _i64(len(self._work)), ctypes.byref(info), 1, 1, 1,
+        )
+        _check("zunmtr", info)
+        values = values[:r]
+        # zheevr's selection sort: each value, with its vector, swaps with
+        # the first smallest after it when that one is smaller.
+        for j in range(r - 1):
+            i = j + 1 + int(np.argmin(values[j + 1 :]))
+            if values[i] < values[j]:
+                values[[i, j]] = values[[j, i]]
+                z[[i, j]] = z[[j, i]]
+        return values, np.conjugate(z, out=z).T
 
 
-def _zheevr_top(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """zheevr with RANGE='I' for eigenpairs dim-r+1..dim; overwrites `a`.
+def tridiagonal_form(a: np.ndarray) -> TridiagonalForm | None:
+    """zhetrd's reduction of the Hermitian matrix `a`; a C-contiguous
+    complex128 `a` is overwritten.
 
-    Fortran reads the C-ordered `a` as its transpose, which for a Hermitian
-    matrix is conj(a): same eigenvalues, conjugate eigenvectors. The vectors
-    are conjugated back, so `a` needs no copy. Raises LinAlgError when LAPACK
-    reports an error or finds other than r pairs.
+    None where numpy's OpenBLAS lacks one of the five LAPACK routines, or
+    where LAPACK's zheevd and zheevr would scale `a` first: its largest
+    entry lies outside their safe range, which no positive trace-one
+    operator reaches. `np.linalg.eigvalsh` and `np.linalg.eigh` are then
+    the route.
     """
-    a = np.require(_as_square(a), requirements=["C", "W"])  # no copy of a working matrix
-    dim = len(a)
-    if not 0 < r <= dim:
-        raise ValueError(f"cannot solve for {r} eigenpairs of a {dim} x {dim} matrix")
-    i64, byref = ctypes.c_int64, ctypes.byref
-    values = np.empty(dim)
-    z = np.empty((r, dim), dtype=np.complex128)  # Fortran's dim x r, column by row
-    isuppz = np.empty(2 * r, dtype=np.int64)
-    found, info = i64(), i64()
+    if None in (_ZHETRD, _DSTERF, _DSTEBZ, _ZSTEIN, _ZUNMTR):
+        return None
+    if not _SCALE_MIN <= float(np.max(np.abs(a))) <= _SCALE_MAX:
+        return None
+    return TridiagonalForm(a)
 
-    # VL and VU go unread with RANGE='I'; ABSTOL 0 takes LAPACK's default,
-    # the machine epsilon times the norm of the tridiagonal form.
-    def call(work, lwork, rwork, lrwork, iwork, liwork):
-        _ZHEEVR(
-            b"V", b"I", b"L", byref(i64(dim)), a.ctypes, byref(i64(dim)),
-            byref(ctypes.c_double()), byref(ctypes.c_double()),
-            byref(i64(dim - r + 1)), byref(i64(dim)), byref(ctypes.c_double()),
-            byref(found), values.ctypes, z.ctypes, byref(i64(dim)), isuppz.ctypes,
-            work.ctypes, byref(i64(lwork)), rwork.ctypes, byref(i64(lrwork)),
-            iwork.ctypes, byref(i64(liwork)), byref(info), 1, 1, 1,
-        )
-
-    # A first call with every workspace length -1 only writes the sizes it wants.
-    work, rwork, iwork = np.empty(1, np.complex128), np.empty(1), np.empty(1, np.int64)
-    call(work, -1, rwork, -1, iwork, -1)
-    if info.value == 0:
-        lwork, lrwork, liwork = int(work[0].real), int(rwork[0]), int(iwork[0])
-        work, rwork = np.empty(lwork, np.complex128), np.empty(lrwork)
-        call(work, lwork, rwork, lrwork, np.empty(liwork, np.int64), liwork)
-    if info.value != 0 or found.value != r:
-        raise np.linalg.LinAlgError(
-            f"zheevr returned info {info.value} and {found.value} of {r} eigenpairs"
-        )
-    return values[:r], np.conjugate(z, out=z).T

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import LN2, total_correlation
-from .linalg import top_eigenpairs
+from .linalg import tridiagonal_form
 from .states import DensityOperator, PureState, _symmetrize, hermitian_spectrum
 
 #: Eigenvalues at or below this threshold are treated as numerical noise.
@@ -53,6 +53,39 @@ def min_purifying_qubits(rho: DensityOperator) -> int:
     return (spectral_rank(rho) - 1).bit_length()
 
 
+def top_eigenpairs(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The r = `spectral_rank(rho)` largest eigenpairs of rho, as the last r
+    of `np.linalg.eigh`: values ascending, vectors as columns.
+
+    One LAPACK zhetrd reduces rho to tridiagonal form
+    (`linalg.tridiagonal_form`). Where rho's spectrum is not cached yet, it
+    is read from that reduction, bit for bit `np.linalg.eigvalsh`'s, and
+    cached read-only; r is then counted from it. When 2r <= 2^n the r pairs
+    are read from the same reduction, by bisection and inverse iteration.
+    Above that `np.linalg.eigh` solves for all of them: it is the faster
+    there, and for r = 2^n zheevr, whose route the subset solve follows,
+    would switch to MRRR, whose vectors were orthogonal to 1e-12 against
+    eigh's 3e-15. A cached spectrum with 2r > 2^n needs no reduction, and
+    where numpy's BLAS lacks a routine or rho's entries lie outside LAPACK's
+    unscaled range, the spectrum's `eigvalsh` and `eigh` are the route.
+    """
+    dim = rho.dim
+    cached = "spectrum" in vars(rho)
+    form = None
+    if not cached or 2 * spectral_rank(rho) <= dim:
+        form = tridiagonal_form(_symmetrize(rho.matrix))
+    if form is not None and not cached:  # fill the cached property from the reduction
+        values = form.eigenvalues()
+        values.setflags(write=False)
+        vars(rho)["spectrum"] = values
+    r = spectral_rank(rho)
+    if form is not None and 2 * r <= dim:
+        return form.top_eigenpairs(r)
+    del form  # zhetrd overwrote its copy of the matrix; free it before eigh's copies
+    values, vectors = np.linalg.eigh(_symmetrize(rho.matrix))
+    return values[dim - r :], vectors[:, dim - r :]
+
+
 def purify(rho: DensityOperator) -> PurificationResult:
     """Spectral purification with the minimum power-of-two ancilla dimension.
 
@@ -66,15 +99,12 @@ def purify(rho: DensityOperator) -> PurificationResult:
     that is the purification's reduction onto the system, computed without
     the 4^(n+k)-entry density operator of the purified state.
 
-    The rank r is `spectral_rank(rho)`, read from the cached spectrum (one
-    `eigvalsh` if it is not cached yet), so `purify` and
-    `min_purifying_qubits` always agree. Only the r largest eigenpairs are
-    then solved for (`linalg.top_eigenpairs`): by LAPACK's subset solver
-    when 2r <= 2^n, by `np.linalg.eigh` above that or where numpy's BLAS
-    lacks the subset solver.
+    The rank r is `spectral_rank(rho)`, so `purify` and
+    `min_purifying_qubits` always agree, and only the r largest eigenpairs
+    are solved for (`top_eigenpairs`).
     """
     n = rho.n_qubits
-    values, vectors = top_eigenpairs(_symmetrize(rho.matrix), spectral_rank(rho))
+    values, vectors = top_eigenpairs(rho)
     mags = np.abs(vectors)
     lead = np.argmax(mags > LEAD_CUTOFF * mags.max(axis=0), axis=0)
     pivot = vectors[lead, np.arange(len(values))]

@@ -5,6 +5,8 @@ partial trace: it walks every matrix entry and accumulates by explicit bit
 arithmetic on basis indices (qubit 0 = most significant bit).
 """
 
+import ctypes
+
 import numpy as np
 
 
@@ -118,25 +120,88 @@ def tilted_four_qubit(u: float) -> np.ndarray:
     return amps
 
 
+#: LAPACK's subset Hermitian eigensolver in numpy's OpenBLAS (ILP64: every
+#: integer argument is 64-bit), or None under another BLAS.
+try:
+    ZHEEVR = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_zheevr_64_
+except (AttributeError, OSError):
+    ZHEEVR = None
+if ZHEEVR is not None:
+    _INT, _REAL = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    _ARRAY = ctypes.c_void_p
+    ZHEEVR.restype = None
+    ZHEEVR.argtypes = [
+        *[ctypes.c_char_p] * 3,  # JOBZ, RANGE, UPLO
+        _INT, _ARRAY, _INT,  # N, A, LDA
+        _REAL, _REAL, _INT, _INT, _REAL,  # VL, VU, IL, IU, ABSTOL
+        _INT, _ARRAY, _ARRAY, _INT, _ARRAY,  # M, W, Z, LDZ, ISUPPZ
+        _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT,  # WORK, LWORK, RWORK, LRWORK, IWORK, LIWORK
+        _INT,  # INFO
+        *[ctypes.c_size_t] * 3,  # the lengths of JOBZ, RANGE and UPLO
+    ]
+
+
+def zheevr_top(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r largest eigenpairs of the Hermitian matrix `a` by one LAPACK
+    zheevr call with RANGE='I' (eigenpairs dim-r+1..dim), as the last r of
+    `np.linalg.eigh`: values ascending, vectors as columns.
+
+    Fortran reads the C-ordered copy of `a` as its transpose, which for a
+    Hermitian matrix is conj(a): same eigenvalues, conjugate eigenvectors,
+    which are conjugated back.
+    """
+    a = np.array(a, dtype=np.complex128, order="C")
+    dim = len(a)
+    assert a.shape == (dim, dim) and 0 < r <= dim
+    i64, byref = ctypes.c_int64, ctypes.byref
+    values = np.empty(dim)
+    z = np.empty((r, dim), dtype=np.complex128)  # Fortran's dim x r, column by row
+    isuppz = np.empty(2 * r, dtype=np.int64)
+    found, info = i64(), i64()
+
+    # VL and VU go unread with RANGE='I'; ABSTOL 0 takes LAPACK's default.
+    def call(work, lwork, rwork, lrwork, iwork, liwork):
+        ZHEEVR(
+            b"V", b"I", b"L", byref(i64(dim)), a.ctypes, byref(i64(dim)),
+            byref(ctypes.c_double()), byref(ctypes.c_double()),
+            byref(i64(dim - r + 1)), byref(i64(dim)), byref(ctypes.c_double()),
+            byref(found), values.ctypes, z.ctypes, byref(i64(dim)), isuppz.ctypes,
+            work.ctypes, byref(i64(lwork)), rwork.ctypes, byref(i64(lrwork)),
+            iwork.ctypes, byref(i64(liwork)), byref(info), 1, 1, 1,
+        )
+
+    # A first call with every workspace length -1 only writes the sizes it wants.
+    work, rwork, iwork = np.empty(1, np.complex128), np.empty(1), np.empty(1, np.int64)
+    call(work, -1, rwork, -1, iwork, -1)
+    assert info.value == 0
+    lwork, lrwork, liwork = int(work[0].real), int(rwork[0]), int(iwork[0])
+    work, rwork = np.empty(lwork, np.complex128), np.empty(lrwork)
+    call(work, lwork, rwork, lrwork, np.empty(liwork, np.int64), liwork)
+    assert info.value == 0 and found.value == r, (info.value, found.value, r)
+    return values[:r], np.conjugate(z, out=z).T
+
+
 def reference_purification_table(m: np.ndarray) -> np.ndarray:
     """Purified amplitudes of a density matrix, ordered by a per-vector sort.
 
     The eigenpairs kept are the r largest, r the count of eigenvalues above
-    `RANK_THRESHOLD`, taken from `linalg.top_eigenpairs` as `purify` takes
-    them, so the two meet the same vectors whichever solver runs. Each is
-    phase-fixed so its leading component above `LEAD_CUTOFF` of the largest
-    is real positive, then sorted by the key (-eigenvalue, leading index,
-    (re, im) entries rounded to `TIE_DIGITS` decimals) and scaled by
-    sqrt(eigenvalue). `purify` must reproduce these amplitudes bit for bit.
+    `RANK_THRESHOLD`, taken from `purification.top_eigenpairs` of a fresh
+    operator as `purify` takes them, so the two meet the same vectors
+    whichever solver runs. Each is phase-fixed so its leading component
+    above `LEAD_CUTOFF` of the largest is real positive, then sorted by the
+    key (-eigenvalue, leading index, (re, im) entries rounded to
+    `TIE_DIGITS` decimals) and scaled by sqrt(eigenvalue). `purify` must
+    reproduce these amplitudes bit for bit.
     """
     import math
 
-    from qcorr.linalg import top_eigenpairs
-    from qcorr.purification import LEAD_CUTOFF, RANK_THRESHOLD, TIE_DIGITS
+    from qcorr import DensityOperator
+    from qcorr.purification import LEAD_CUTOFF, RANK_THRESHOLD, TIE_DIGITS, top_eigenpairs
 
     sym = (m + m.conj().T) / 2.0
     rank = int(np.count_nonzero(np.linalg.eigvalsh(sym) > RANK_THRESHOLD))
-    values, vectors = top_eigenpairs(sym, rank)
+    values, vectors = top_eigenpairs(DensityOperator(len(m).bit_length() - 1, m))
+    assert len(values) == rank
     fixed = []
     for i in range(len(values)):
         v = vectors[:, i]

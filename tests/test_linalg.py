@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     PureState,
@@ -11,9 +13,16 @@ from qcorr import (
     kron,
     partial_trace,
     permute_qubits,
+    reduced_operator,
     to_density,
+    uniform_entangled,
 )
-from helpers import random_density, random_pure
+from qcorr.linalg import tridiagonal_form
+from qcorr.purification import RANK_THRESHOLD
+from helpers import ZHEEVR, random_density, random_pure, zheevr_top
+
+#: Whether numpy's OpenBLAS has every routine of `linalg.tridiagonal_form`.
+TRIDIAGONAL = tridiagonal_form(np.eye(2, dtype=complex)) is not None
 
 I2 = np.eye(2, dtype=complex)
 BELL_RHO = to_density(ghz(2)).matrix
@@ -156,3 +165,66 @@ def test_permute_rejects_malformed():
 def test_permute_rejects_non_integer_entries():
     with pytest.raises(ValueError, match="integers"):
         permute_qubits(ghz(3), (0.5, 1, 2))
+
+
+def _operator(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n-qubit density matrix: a random one of full or of exact rank, a
+    normalised projector onto basis states, or a reduction of Bell pairs or
+    of `uniform_entangled` onto random qubits; the last three have
+    degenerate spectra."""
+    dim = 1 << n
+    if kind == "random":
+        return random_density(rng, n)
+    if kind == "rank":
+        rank = int(rng.integers(1, dim + 1))
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        m = g @ g.conj().T
+        return m / np.trace(m).real
+    if kind == "eye":
+        rank = int(rng.integers(1, dim + 1))
+        return np.diag(np.arange(dim) < rank) / rank + 0j
+    pairs = int(rng.integers((n + 1) // 2, 7))  # 12 qubits at most
+    state = bell_product(pairs) if kind == "bellpairs" else uniform_entangled(pairs)
+    keep = rng.permutation(2 * pairs)[:n]
+    return reduced_operator(state, [int(q) for q in keep]).matrix
+
+
+@pytest.mark.skipif(
+    ZHEEVR is None or not TRIDIAGONAL,
+    reason="numpy's LAPACK lacks zheevr or a routine of the tridiagonal route",
+)
+@settings(deadline=None, max_examples=30)
+@given(
+    kind=st.sampled_from(["random", "rank", "eye", "bellpairs", "ue"]),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="rank", n=10, seed=32)
+@example(kind="ue", n=10, seed=0)
+def test_one_reduction_gives_eigvalsh_and_zheevr_bit_for_bit(kind, n, seed):
+    # One zhetrd feeds both: its dsterf spectrum must be np.linalg.eigvalsh's
+    # (zheevd), and its top r pairs a zheevr RANGE='I' call's, at r the rank
+    # or half the dimension, whichever is smaller.
+    m = _operator(kind, n, np.random.default_rng(seed))
+    sym = (m + m.conj().T) / 2
+    spectrum = np.linalg.eigvalsh(sym)
+    r = max(1, min(int(np.count_nonzero(spectrum > RANK_THRESHOLD)), len(m) // 2))
+    want_values, want_vectors = zheevr_top(sym, r)
+    form = tridiagonal_form(sym.copy())
+    assert form.eigenvalues().tobytes() == spectrum.tobytes()
+    values, vectors = form.top_eigenpairs(r)
+    assert values.tobytes() == want_values.tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+
+
+@pytest.mark.skipif(not TRIDIAGONAL, reason="numpy's LAPACK lacks a tridiagonal routine")
+def test_the_tridiagonal_route_declines_what_lapack_would_scale():
+    # zheevr scales a matrix whose largest entry exceeds about 8e76, or lies
+    # below about 1e-146, before its reduction; such a matrix gets no
+    # reduction here, so its callers fall back on eigvalsh and eigh.
+    huge = np.array([[0.5, 1e80], [1e80, 0.5]], dtype=complex)
+    inside = np.array([[0.5, 1e70], [1e70, 0.5]], dtype=complex)
+    tiny = np.diag([1e-150, 1e-150]).astype(complex)
+    assert tridiagonal_form(huge) is None
+    assert tridiagonal_form(tiny) is None
+    assert tridiagonal_form(inside) is not None

@@ -1,11 +1,13 @@
 """Spectral rank, minimum ancilla count, and explicit purification."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qcorr.linalg
+import qcorr.purification
 from qcorr import (
     DensityOperator,
     Partition,
@@ -30,11 +32,18 @@ from helpers import (
     tilted_four_qubit,
 )
 from qcorr import PureState
+from qcorr.purification import RANK_THRESHOLD, top_eigenpairs
+from qcorr.states import hermitian_spectrum
 
 LN2 = math.log(2)
 
-#: The two solver routes of `linalg.top_eigenpairs`.
+#: The two solver routes of `purification.top_eigenpairs`.
 ROUTES = ("eigh", "subset")
+
+#: The LAPACK routines of `linalg.tridiagonal_form`, as numpy's OpenBLAS
+#: exports them; without any one, `purify` takes `eigvalsh` and `eigh`.
+TRIDIAGONAL_ROUTINES = ("_ZHETRD", "_DSTERF", "_DSTEBZ", "_ZSTEIN", "_ZUNMTR")
+LAPACK_MISSING = [name for name in TRIDIAGONAL_ROUTINES if getattr(qcorr.linalg, name) is None]
 
 
 def ghz_reduction():
@@ -191,9 +200,10 @@ def _solved_as_given(monkeypatch, route, values, vectors):
     len(values) whose solver on `route` returns `values` and `vectors`.
 
     "eigh" takes I/r, of rank r = dim, and patches `np.linalg.eigh`;
-    "subset" takes diag(1/r, ..., 0, ...) of dimension 2r, patches the
-    subset solve, and pads each vector with r zero rows. The other solver
-    raises, so the input must reach the patched one."""
+    "subset" takes diag(1/r, ..., 0, ...) of dimension 2r, puts a reduction
+    that gives its spectrum and those pairs in place of
+    `linalg.tridiagonal_form`, and pads each vector with r zero rows. The
+    other solver raises, so the input must reach the patched one."""
     r = len(values)
 
     def other_solver(*args):
@@ -201,14 +211,16 @@ def _solved_as_given(monkeypatch, route, values, vectors):
 
     if route == "eigh":
         monkeypatch.setattr(np.linalg, "eigh", lambda m: (values, vectors))
-        monkeypatch.setattr(qcorr.linalg, "_zheevr_top", other_solver)
+        monkeypatch.setattr(qcorr.linalg.TridiagonalForm, "top_eigenpairs", other_solver)
         rho = validate_density(np.eye(r) / r, r.bit_length() - 1)
     else:
         padded = np.vstack([vectors, np.zeros_like(vectors)])
-        monkeypatch.setattr(qcorr.linalg, "_ZHEEVR", other_solver)  # present on any BLAS
-        monkeypatch.setattr(qcorr.linalg, "_zheevr_top", lambda a, k: (values, padded))
-        monkeypatch.setattr(np.linalg, "eigh", other_solver)
         diag = np.concatenate([np.full(r, 1 / r), np.zeros(r)])
+        given = SimpleNamespace(  # present on any BLAS
+            eigenvalues=lambda: np.sort(diag), top_eigenpairs=lambda k: (values, padded)
+        )
+        monkeypatch.setattr(qcorr.purification, "tridiagonal_form", lambda a: given)
+        monkeypatch.setattr(np.linalg, "eigh", other_solver)
         rho = validate_density(np.diag(diag).astype(complex), r.bit_length())
     return purify(rho).purified.amplitudes, reference_purification_table(rho.matrix)
 
@@ -323,17 +335,16 @@ ROUTE_CASES = {
 }
 
 
-@pytest.mark.skipif(qcorr.linalg._ZHEEVR is None, reason="numpy's LAPACK has no zheevr_64")
+@pytest.mark.skipif(bool(LAPACK_MISSING), reason=f"numpy's LAPACK lacks {LAPACK_MISSING}")
 @pytest.mark.parametrize("make", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
 def test_the_subset_solve_and_eigh_purify_alike(make, monkeypatch):
     rho = make()
-    n, r = rho.n_qubits, spectral_rank(rho)
-    sym = (rho.matrix + rho.matrix.conj().T) / 2
+    n = rho.n_qubits
     results, values = [], []
     for hide in (False, True):  # the subset route where 2r <= dim, then eigh
         if hide:
-            monkeypatch.setattr(qcorr.linalg, "_ZHEEVR", None)
-        values.append(qcorr.linalg.top_eigenpairs(sym.copy(), r)[0])
+            monkeypatch.setattr(qcorr.linalg, "_ZHETRD", None)
+        values.append(top_eigenpairs(DensityOperator(n, rho.matrix))[0])
         results.append(purify(rho))
     assert np.max(np.abs(values[0] - values[1])) <= 1e-14
     subset, full = results
@@ -351,9 +362,9 @@ def test_the_subset_solve_and_eigh_purify_alike(make, monkeypatch):
 @pytest.mark.parametrize("hide", [False, True], ids=["symbol", "no-symbol"])
 def test_the_subset_solve_runs_exactly_when_2r_fits_the_dimension(hide, monkeypatch):
     if hide:
-        monkeypatch.setattr(qcorr.linalg, "_ZHEEVR", None)
-    elif qcorr.linalg._ZHEEVR is None:
-        pytest.skip("numpy's LAPACK has no zheevr_64")
+        monkeypatch.setattr(qcorr.linalg, "_ZHETRD", None)
+    elif LAPACK_MISSING:
+        pytest.skip(f"numpy's LAPACK lacks {LAPACK_MISSING}")
     calls = []
 
     def spy(name, solve):
@@ -363,7 +374,8 @@ def test_the_subset_solve_runs_exactly_when_2r_fits_the_dimension(hide, monkeypa
 
         return wrapped
 
-    monkeypatch.setattr(qcorr.linalg, "_zheevr_top", spy("subset", qcorr.linalg._zheevr_top))
+    solve = spy("subset", qcorr.linalg.TridiagonalForm.top_eigenpairs)
+    monkeypatch.setattr(qcorr.linalg.TridiagonalForm, "top_eigenpairs", solve)
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
     cases = [*ROUTE_CASES.values(), lambda: _random_of_rank(116, 10, 32)]
     for make in cases:
@@ -373,3 +385,119 @@ def test_the_subset_solve_runs_exactly_when_2r_fits_the_dimension(hide, monkeypa
         assert purify(rho).residual <= 1e-12
         subset = 2 * r <= rho.dim and not hide
         assert calls == (["subset"] if subset else ["eigh"]), (rho.n_qubits, r)
+
+
+def _count_solves(monkeypatch) -> dict[str, int]:
+    """Counts, by name, each zhetrd reduction (its workspace query aside),
+    dsterf, `np.linalg.eigvalsh` and `np.linalg.eigh` call from here on."""
+    calls = dict.fromkeys(["zhetrd", "dsterf", "eigvalsh", "eigh"], 0)
+
+    def counted(name, solve):
+        def wrapped(*args):
+            # zhetrd's ninth argument is LWORK, -1 on the workspace query.
+            if name != "zhetrd" or args[8]._obj.value != -1:
+                calls[name] += 1
+            return solve(*args)
+
+        return wrapped
+
+    for name in ("zhetrd", "dsterf"):
+        attr = f"_{name.upper()}"
+        monkeypatch.setattr(qcorr.linalg, attr, counted(name, getattr(qcorr.linalg, attr)))
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+def _rank_32_matrix() -> np.ndarray:
+    rng = np.random.default_rng(117)
+    g = rng.standard_normal((1024, 32)) + 1j * rng.standard_normal((1024, 32))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.skipif(bool(LAPACK_MISSING), reason=f"numpy's LAPACK lacks {LAPACK_MISSING}")
+def test_an_uncached_purify_reduces_its_operator_once(monkeypatch):
+    # The spectrum and the 32 pairs both come from one zhetrd; the one
+    # eigvalsh left is the residual's.
+    m = _rank_32_matrix()
+    calls = _count_solves(monkeypatch)
+    rho = DensityOperator(10, m)
+    result = purify(rho)
+    assert calls == {"zhetrd": 1, "dsterf": 1, "eigvalsh": 1, "eigh": 0}
+    spectrum = rho.spectrum
+    assert calls == {"zhetrd": 1, "dsterf": 1, "eigvalsh": 1, "eigh": 0}
+    assert not spectrum.flags.writeable
+    assert spectrum.tobytes() == hermitian_spectrum(rho.matrix).tobytes()
+    assert min_purifying_qubits(rho) == result.ancilla_qubits == 5
+
+    rho = validate_density(m, 10)  # its spectrum's eigvalsh is cached
+    calls.update(dict.fromkeys(calls, 0))
+    assert purify(rho).purified.amplitudes.tobytes() == result.purified.amplitudes.tobytes()
+    assert calls == {"zhetrd": 1, "dsterf": 0, "eigvalsh": 1, "eigh": 0}
+
+
+def test_a_rank_zero_operator_raises(monkeypatch):
+    # No eigenvalue above the threshold: from a cached spectrum of zeros, and
+    # from an uncached operator under a threshold above its spectrum.
+    rho = validate_density(np.eye(4) / 4, 2)
+    zeros = np.zeros(4)
+    zeros.setflags(write=False)
+    vars(rho)["spectrum"] = zeros
+    with pytest.raises(ValueError, match="cannot solve for 0 eigenpairs"):
+        purify(rho)
+    monkeypatch.setattr(qcorr.purification, "RANK_THRESHOLD", 1.0)
+    with pytest.raises(ValueError, match="cannot solve for 0 eigenpairs"):
+        purify(DensityOperator(2, np.eye(4) / 4))
+
+
+def test_an_operator_lapack_would_scale_takes_eigvalsh_and_eigh(monkeypatch):
+    # A trace-one Hermitian matrix, not positive, whose largest entry lies
+    # above LAPACK's unscaled range: no reduction, the spectrum by eigvalsh.
+    rho = DensityOperator(1, np.array([[0.5, 1e80], [1e80, 0.5]], dtype=complex))
+    calls = _count_solves(monkeypatch)
+    result = purify(rho)
+    assert calls == {"zhetrd": 0, "dsterf": 0, "eigvalsh": 2, "eigh": 1}
+    assert result.ancilla_qubits == min_purifying_qubits(rho) == 0
+    assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
+
+
+#: (qubits, eigenvalues well above `RANK_THRESHOLD`) beside one at its edge:
+#: a rank of 5 or 4 on the subset route, of 5 (eigh) or 4 (subset) across
+#: both, of 8 or 7 on eigh, and of 3 or 2 on the subset route.
+EDGE_CASES = {"subset-16-4": (4, 4), "across-8-4": (3, 4), "eigh-8-7": (3, 7), "subset-8-2": (3, 2)}
+
+
+@pytest.mark.parametrize("order", ["validated", "purify-first", "rank-first"])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("case", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_rank_threshold_from_both_sides(case, factor, order):
+    # One eigenvalue at 0.99 or 1.01 times RANK_THRESHOLD: purify's ancillas,
+    # min_purifying_qubits and the eigvalsh count above the threshold agree,
+    # whether the spectrum was cached first, by purify, or by the rank.
+    n, above = case
+    dim = 1 << n
+    rng = np.random.default_rng(above * 100 + n)
+    values = np.zeros(dim)
+    values[above] = factor * RANK_THRESHOLD
+    values[:above] = rng.random(above) + 0.1
+    values[:above] *= (1 - values[above]) / values[:above].sum()
+    u = random_unitary(rng, dim)
+    m = (u * values) @ u.conj().T
+    count = int(np.count_nonzero(np.linalg.eigvalsh((m + m.conj().T) / 2) > RANK_THRESHOLD))
+    assert count == above + (factor > 1)
+    if order == "validated":
+        rho = validate_density(m, n)
+        result, k = purify(rho), min_purifying_qubits(rho)
+    elif order == "purify-first":
+        rho = DensityOperator(n, m)
+        result, k = purify(rho), min_purifying_qubits(rho)
+    else:
+        rho = DensityOperator(n, m)
+        k = min_purifying_qubits(rho)
+        result = purify(rho)
+    assert spectral_rank(rho) == count
+    assert result.ancilla_qubits == k == (count - 1).bit_length()
+    assert result.purified.n_qubits == n + k
+    # A dropped eigenvalue, and the renormalisation it forces, stay in the residual.
+    assert result.residual <= 2 * RANK_THRESHOLD
