@@ -19,9 +19,8 @@ from qcorr import (
     classify_region,
     is_maximally_correlated_purification,
     min_purifying_qubits,
-    partial_trace,
     purify,
-    to_density,
+    reduced_operator,
     total_correlation,
     uniform_entangled,
 )
@@ -37,7 +36,7 @@ def tilted(u: float) -> PureState:
 
 
 def first_pair(state: PureState) -> DensityOperator:
-    return DensityOperator(2, partial_trace(to_density(state).matrix, 4, (0, 1)))
+    return reduced_operator(state, (0, 1))
 
 
 def main():

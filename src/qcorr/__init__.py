@@ -79,9 +79,7 @@ from .purification import (  # noqa: E402
 from .report import (  # noqa: E402
     CorrelationReport,
     PartitionAnalysis,
-    StateSpec,
     analyze,
-    build_state,
     load_state_file,
     parse_partition,
     parse_partition_list,

@@ -18,7 +18,6 @@ from .errors import QcorrError, SizeCapError
 from .purification import is_maximally_correlated_purification, purify
 from .report import (
     analyze,
-    build_state,
     parse_partition_list,
     parse_state_spec,
     parse_subset,
@@ -28,13 +27,13 @@ from .report import (
     sweep,
     _sig12,
 )
+from .states import DEFAULT_MAX_QUBITS
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--state", required=True, help="state spec, e.g. ghz:4 or file:psi.json")
-    sub.add_argument(
-        "--max-qubits", type=int, default=None, help="override the 12-qubit size cap"
-    )
+    cap = f"override the {DEFAULT_MAX_QUBITS}-qubit size cap"
+    sub.add_argument("--max-qubits", type=int, default=None, help=cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +82,7 @@ def _print_report(report, as_json: bool) -> None:
 
 def _state(args):
     """The state of `--state`, under the cap of `--max-qubits`."""
-    return build_state(parse_state_spec(args.state), args.max_qubits)
+    return parse_state_spec(args.state, args.max_qubits)
 
 
 def _state_and_subset(args):

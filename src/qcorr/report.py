@@ -41,17 +41,18 @@ from .states import (
     uniform_entangled,
 )
 
-STATE_KINDS = ("ghz", "ue", "bellpairs", "ghzblocks", "file")
+#: The constructor of each named kind, called with the spec's count; a
+#: `ue` spec counts all its qubits, half of them on each side.
+_CONSTRUCTORS = {
+    "ghz": ghz,
+    "ue": lambda total, max_qubits: uniform_entangled(total // 2, max_qubits=max_qubits),
+    "bellpairs": bell_product,
+    "ghzblocks": ghz_block_product,
+}
+
+STATE_KINDS = (*_CONSTRUCTORS, "file")
 
 FILE_NORM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class StateSpec:
-    """Parsed state specification: a constructor kind plus its parameter."""
-
-    kind: str
-    parameter: int | str
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,14 @@ class CorrelationReport:
     entries: tuple[PartitionAnalysis, ...]
 
 
-def parse_state_spec(text: str) -> StateSpec:
-    """Parse 'kind:parameter' into a StateSpec.
+def parse_state_spec(text: str, max_qubits: int | None = None) -> PureState:
+    """The pure state 'kind:parameter' names, built under the size cap
+    `max_qubits` (default `states.DEFAULT_MAX_QUBITS`).
 
     A parameter other than a file path is ASCII digits only. Raises
     SpecParseError (with the offset of the first bad character) for
-    malformed input; an odd total for 'ue' is a ValueError since the syntax
-    itself is fine, and a count too long for int() is a SizeCapError.
+    malformed input; a `ue` total that is odd or 0 is a ValueError since the
+    syntax itself is fine, and a count too long for int() is a SizeCapError.
     """
     if not text:
         raise SpecParseError("empty state spec", 0)
@@ -100,7 +102,7 @@ def parse_state_spec(text: str) -> StateSpec:
     if head == "file":
         if not tail:
             raise SpecParseError("missing file path", len(head) + 1)
-        return StateSpec(head, tail)
+        return load_state_file(tail, max_qubits)
     bad = len(tail) - len(tail.lstrip(string.digits))  # offset of the first non-digit
     if not tail or bad < len(tail):
         raise SpecParseError(
@@ -113,26 +115,10 @@ def parse_state_spec(text: str) -> StateSpec:
         raise SizeCapError(
             f"parameter for {head!r} has {len(digits)} digits, above the size cap"
         ) from None
-    if head == "ue" and value % 2 != 0:
-        raise ValueError(
-            f"'ue' takes the total qubit count, which must be even; got {value}"
-        )
-    return StateSpec(head, value)
-
-
-def build_state(spec: StateSpec, max_qubits: int | None = None) -> PureState:
-    """Instantiate the pure state a spec describes."""
-    if spec.kind == "ghz":
-        return ghz(int(spec.parameter), max_qubits=max_qubits)
-    if spec.kind == "ue":
-        return uniform_entangled(int(spec.parameter) // 2, max_qubits=max_qubits)
-    if spec.kind == "bellpairs":
-        return bell_product(int(spec.parameter), max_qubits=max_qubits)
-    if spec.kind == "ghzblocks":
-        return ghz_block_product(int(spec.parameter), max_qubits=max_qubits)
-    if spec.kind == "file":
-        return load_state_file(str(spec.parameter), max_qubits=max_qubits)
-    raise ValueError(f"unknown state kind {spec.kind!r}")
+    if head == "ue" and (value % 2 or not value):
+        need = "even" if value else "at least 2"
+        raise ValueError(f"'ue' takes the total qubit count, which must be {need}; got {value}")
+    return _CONSTRUCTORS[head](value, max_qubits=max_qubits)
 
 
 def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
@@ -291,11 +277,6 @@ def parse_subset(text: str, n_qubits: int) -> tuple[int, ...]:
         raise SpecParseError(str(e), 0) from None
 
 
-def _resolve_state(spec: StateSpec | PureState) -> PureState:
-    """The state itself, or the state a spec describes under the default size cap."""
-    return spec if isinstance(spec, PureState) else build_state(spec)
-
-
 def _analyze_pure(
     state: PureState, parts: Sequence[Partition], units: str
 ) -> CorrelationReport:
@@ -329,11 +310,11 @@ def _analyze_pure(
 
 
 def analyze(
-    spec: StateSpec | PureState, partitions: Sequence[Partition], units: str = "nats"
+    state: PureState, partitions: Sequence[Partition], units: str = "nats"
 ) -> CorrelationReport:
     """Correlation report for explicit partitions of one state; `sweep`
-    covers every bipartition. Text goes through `parse_partition_list` first."""
-    state = _resolve_state(spec)
+    covers every bipartition. Text goes through `parse_state_spec` and
+    `parse_partition_list` first."""
     parts = list(partitions)
     if not parts:
         raise ValueError("need at least one partition")
@@ -341,11 +322,10 @@ def analyze(
 
 
 def sweep(
-    spec: StateSpec | PureState, size_alpha: int | None = None, units: str = "nats"
+    state: PureState, size_alpha: int | None = None, units: str = "nats"
 ) -> CorrelationReport:
     """Correlation report covering every canonical bipartition, solved as
     `correlation.von_neumann_entropy` is (see there for OpenBLAS's threads)."""
-    state = _resolve_state(spec)
     parts = enumerate_bipartitions(state.n_qubits, size_alpha)
     return _analyze_pure(state, parts, units)
 

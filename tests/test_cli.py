@@ -112,6 +112,22 @@ def test_purify_command_text(capsys):
     assert "ancilla qubits needed: 2" in out
 
 
+def test_purify_json_reads_back_as_a_state_file(tmp_path, capsys):
+    # `purify --json` writes the amplitude format of `save_state_file`, so
+    # `file:` reads the purified state back bit for bit.
+    code, out, _ = run(capsys, "purify", "--state", "ue:6", "--subset", "ace", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    path = tmp_path / "purified.json"
+    path.write_text(out)
+    state = qcorr.parse_state_spec(f"file:{path}")
+    want = qcorr.purify(qcorr.reduced_operator(qcorr.uniform_entangled(3), (0, 2, 4))).purified
+    assert state.n_qubits == doc["n_qubits"] == want.n_qubits == 6
+    assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+    written = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+    assert state.amplitudes.tobytes() == written.tobytes()
+
+
 def test_file_state_round_trip(tmp_path, capsys):
     path = tmp_path / "s.json"
     save_state_file(ghz(4), str(path))
@@ -125,6 +141,25 @@ def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "analyze", "--state", "ue:5", "--partition", "ab|cd")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("spec, need", [("ue:0", "at least 2"), ("ue:1", "even"), ("ue:3", "even")])
+def test_ue_count_errors_name_the_total_qubit_count(capsys, spec, need):
+    code, out, err = run(capsys, "sweep", "--state", spec)
+    assert (code, out) == (2, "")
+    got = spec.split(":")[1]
+    assert err == f"error: 'ue' takes the total qubit count, which must be {need}; got {got}\n"
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+def test_max_qubits_help_names_the_default_cap(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(qcorr.cli, "DEFAULT_MAX_QUBITS", cap)
+    parser = qcorr.cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for sub in commands.values():
+        (action,) = [a for a in sub._actions if a.dest == "max_qubits"]
+        assert action.help == f"override the {cap or 12}-qubit size cap"
 
 
 def test_exit_code_bad_partition(capsys):

@@ -21,6 +21,7 @@ from qcorr import (
     reduced_operator,
     spectral_rank,
     to_density,
+    total_correlation,
     uniform_entangled,
     validate_density,
     von_neumann_entropy,
@@ -32,7 +33,7 @@ from helpers import (
     tilted_four_qubit,
 )
 from qcorr import PureState
-from qcorr.purification import RANK_THRESHOLD, top_eigenpairs
+from qcorr.purification import MAXCORR_TOL, RANK_THRESHOLD, PurificationResult, top_eigenpairs
 from qcorr.states import hermitian_spectrum
 
 LN2 = math.log(2)
@@ -501,3 +502,21 @@ def test_rank_threshold_from_both_sides(case, factor, order):
     assert result.purified.n_qubits == n + k
     # A dropped eigenvalue, and the renormalisation it forces, stay in the residual.
     assert result.residual <= 2 * RANK_THRESHOLD
+
+
+@pytest.mark.parametrize("deficit, maximal", [(0.5e-8, True), (2e-8, False)])
+def test_maxcorr_verdict_flips_at_its_tolerance(deficit, maximal):
+    # cos t|00> + sin t|11> carries 2 H(cos^2 t) = 2 ln 2 - 4 d^2 - O(d^4)
+    # with d = cos^2 t - 1/2, so d = sqrt(deficit)/2 puts its total
+    # correlation `deficit` below the two-qubit maximum.
+    c2 = 0.5 + math.sqrt(deficit) / 2
+    amps = np.array([math.sqrt(c2), 0, 0, math.sqrt(1 - c2)], dtype=complex)
+    state = PureState(2, amps)
+    assert abs(2 * LN2 - total_correlation(state) - deficit) < 1e-3 * MAXCORR_TOL
+    given = PurificationResult(ancilla_qubits=1, purified=state, residual=0.0)
+    assert is_maximally_correlated_purification(given) is maximal
+    # the same state as the purification of its one-qubit reduction
+    result = purify(DensityOperator(1, np.diag([c2, 1 - c2]).astype(complex)))
+    assert result.ancilla_qubits == 1
+    assert np.allclose(result.purified.amplitudes, amps, rtol=0, atol=1e-15)
+    assert is_maximally_correlated_purification(result) is maximal

@@ -15,9 +15,11 @@ from qcorr import (
     SpecParseError,
     StateFileError,
     analyze,
+    bell_product,
     decompose,
     enumerate_bipartitions,
     ghz,
+    ghz_block_product,
     load_state_file,
     parse_partition,
     parse_partition_list,
@@ -29,22 +31,28 @@ from qcorr import (
     uniform_entangled,
     von_neumann_entropy,
 )
-from qcorr.report import FILE_NORM_TOL, build_state, render_table, report_to_dict
+from qcorr.report import FILE_NORM_TOL, render_table, report_to_dict
 from qcorr.states import NORM_TOL
 from helpers import random_pure
 
 LN2 = math.log(2)
 
 
-def test_parse_state_spec_examples():
-    assert parse_state_spec("ghz:4") == parse_state_spec("ghz:4")
-    spec = parse_state_spec("ghz:4")
-    assert (spec.kind, spec.parameter) == ("ghz", 4)
-    spec = parse_state_spec("ue:4")
-    assert (spec.kind, spec.parameter) == ("ue", 4)
-    assert build_state(spec).n_qubits == 4
-    spec = parse_state_spec("file:/tmp/x.json")
-    assert spec.parameter == "/tmp/x.json"
+def test_parse_state_spec_examples(tmp_path):
+    # Each kind gives its constructor's state bit for bit; `ue` counts all qubits.
+    for text, want in [
+        ("ghz:4", ghz(4)),
+        ("ue:4", uniform_entangled(2)),
+        ("bellpairs:2", bell_product(2)),
+        ("ghzblocks:3", ghz_block_product(3)),
+    ]:
+        state = parse_state_spec(text)
+        assert state.n_qubits == want.n_qubits
+        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+    path = tmp_path / "x.json"
+    save_state_file(PureState(3, random_pure(np.random.default_rng(7), 3)), str(path))
+    state = parse_state_spec(f"file:{path}")
+    assert state.amplitudes.tobytes() == load_state_file(str(path)).amplitudes.tobytes()
 
 
 def test_parse_state_spec_rejects_odd_ue():
@@ -87,7 +95,8 @@ def test_spec_parameters_are_ascii_digits(text, position):
 def test_spec_count_too_long_for_int_is_over_the_size_cap():
     with pytest.raises(SizeCapError, match="5000 digits"):
         parse_state_spec("ghz:" + "9" * 5000)
-    assert parse_state_spec("ghz:" + "0" * 5000 + "4").parameter == 4
+    state = parse_state_spec("ghz:" + "0" * 5000 + "4")
+    assert state.amplitudes.tobytes() == ghz(4).amplitudes.tobytes()
 
 
 def test_load_state_file_plus_state(tmp_path):
@@ -335,7 +344,7 @@ def test_round_trip_file_report_identical(tmp_path):
 
 
 def test_subset_entropy_values():
-    ghz4, ue4 = build_state(parse_state_spec("ghz:4")), build_state(parse_state_spec("ue:4"))
+    ghz4, ue4 = parse_state_spec("ghz:4"), parse_state_spec("ue:4")
     assert abs(von_neumann_entropy(ghz4, parse_subset("ab", 4)) - LN2) < 1e-9
     assert abs(von_neumann_entropy(ue4, parse_subset("ab", 4)) - 2 * LN2) < 1e-9
     assert von_neumann_entropy(ghz4, parse_subset("abcd", 4)) < 1e-12

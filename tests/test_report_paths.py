@@ -26,6 +26,7 @@ import qcorr.correlation
 import qcorr.partitions
 import qcorr.report
 from qcorr import (
+    DecompositionRows,
     Partition,
     PartitionError,
     PureState,
@@ -47,6 +48,7 @@ from qcorr import (
     uniform_entangled,
     von_neumann_entropy,
 )
+from qcorr.correlation import REGION_TOL
 from qcorr.partitions import _product_flag
 from helpers import random_pure
 from test_entropy_engine import pure_states
@@ -351,3 +353,50 @@ def test_partition_label_round_trips_through_parse(args):
     label = part.label()
     assert ("," in label) == (n > 26)
     assert parse_partition(label, n) == part
+
+
+#: Offsets from a region boundary in units of `REGION_TOL`, and whether each
+#: lies past the boundary as widened by it.
+EDGE_OFFSETS = [(-2.0, False), (-0.5, False), (0.5, False), (2.0, True)]
+
+
+@pytest.mark.parametrize("alpha", ["a", "ab", "abc", "abcd"])
+def test_region_labels_flip_past_region_tol_at_each_cap(alpha, monkeypatch):
+    # Each row sits near the ln 2 or 2 ln 2 boundary of its internal parts and
+    # near min(|alpha|, |beta|) ln 2 or twice that for its external part; the
+    # report's array rule and `classify_region` give the same label.
+    n = 6
+    part = parse_partition(f"{alpha}|{'abcdef'[len(alpha):]}", n)
+    a, b = len(part.alpha), len(part.beta)
+    cases = [(edge, offset, past) for edge in (1, 2) for offset, past in EDGE_OFFSETS]
+
+    def near(cap):
+        return np.array([edge * cap + offset * REGION_TOL for edge, offset, _ in cases])
+
+    zeros = np.zeros(len(cases))
+    rows = DecompositionRows(near(LN2), near(LN2), near(min(a, b) * LN2), zeros, zeros, zeros)
+    monkeypatch.setattr(qcorr.report, "decompose_rows", lambda state, parts: rows)
+    report = analyze(ghz(n), [part] * len(cases))
+    for (edge, _, past), e in zip(cases, report.entries):
+        want = tuple(Region)[edge - 1 + past]
+        assert e.region_internal_alpha is want
+        assert e.region_internal_beta is want
+        assert e.region_external is want
+        assert classify_region(e.internal_alpha, [LN2] * a) is want
+        assert classify_region(e.internal_beta, [LN2] * b) is want
+        assert classify_region(e.external, [a * LN2, b * LN2]) is want
+
+
+@pytest.mark.parametrize("slack, ok", [(-0.5e-9, True), (-2e-9, False)])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_araki_lieb_verdict_flips_at_its_tolerance(side, slack, ok, monkeypatch):
+    zero = np.zeros(1)
+    slacks = {"lower_slack": zero, "upper_slack": zero, f"{side}_slack": np.array([slack])}
+    rows = DecompositionRows(zero, zero, zero, zero, **slacks)
+    assert rows.araki_lieb_ok.tolist() == [ok]
+    # the one-row check and the report's AND read the same rule
+    monkeypatch.setattr(qcorr.partitions, "decompose_rows", lambda state, parts: rows)
+    monkeypatch.setattr(qcorr.report, "decompose_rows", lambda state, parts: rows)
+    part = parse_partition("ab|cd", 4)
+    assert araki_lieb_check(ghz(4), part).ok is ok
+    assert analyze(ghz(4), [part]).bounds.araki_lieb_ok is ok
