@@ -31,10 +31,12 @@ from .correlation import (  # noqa: E402
     LN2,
     ArakiLiebResult,
     BoundsReport,
+    DecompositionRows,
     Region,
     araki_lieb_check,
     classify_region,
     correlation_bounds,
+    decompose_rows,
     index_of_correlation,
     max_total_correlation,
     subsystem_entropies,
@@ -60,10 +62,7 @@ from .linalg import (  # noqa: E402
 )
 from .partitions import (  # noqa: E402
     Decomposition,
-    DecompositionRows,
-    Partition,
     decompose,
-    decompose_rows,
     enumerate_bipartitions,
     is_product_across,
     pure_state_decomposition_identities,
@@ -93,6 +92,7 @@ from .report import (  # noqa: E402
 from .states import (  # noqa: E402
     DEFAULT_MAX_QUBITS,
     DensityOperator,
+    Partition,
     PureState,
     bell_product,
     ghz,

@@ -3,7 +3,8 @@
 All entropies are in nats (natural log). The total correlation of an
 N-qubit state is the sum of its single-qubit entropies minus the total
 entropy; the index of correlation across a bipartition is
-S(rho_alpha) + S(rho_beta) - S(rho).
+S(rho_alpha) + S(rho_beta) - S(rho). `decompose_rows` splits the total across
+bipartitions; `index_of_correlation` and `araki_lieb_check` read one row.
 """
 
 from __future__ import annotations
@@ -14,21 +15,19 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import _SET_BLAS_THREADS, partial_trace
 from .states import (
     DensityOperator,
+    Partition,
     PureState,
     _amplitude_matrices,
     _check_subset,
     hermitian_spectrum,
 )
-
-if TYPE_CHECKING:
-    from .partitions import Partition
 
 LN2 = math.log(2.0)
 
@@ -37,6 +36,12 @@ ENTROPY_EIG_FLOOR = 1e-15
 
 #: Tolerance used when assigning region labels at the boundaries.
 REGION_TOL = 1e-9
+
+#: How far a row's parts may sum from its total before `decompose_rows` raises.
+IDENTITY_TOL = 1e-8
+
+#: How far below zero an Araki-Lieb slack may read and the check still pass.
+ARAKI_LIEB_TOL = 1e-9
 
 #: The most amplitudes `_cut_spectra` stacks for one batched solve: 2^16
 #: complex values, 1 MiB.
@@ -107,6 +112,24 @@ class ArakiLiebResult(NamedTuple):
     ok: bool
     lower_slack: float
     upper_slack: float
+
+
+@dataclass(frozen=True)
+class DecompositionRows:
+    """`partitions.decompose` and the Araki-Lieb slacks of many partitions,
+    one array entry per partition, in the order given."""
+
+    internal_alpha: np.ndarray
+    internal_beta: np.ndarray
+    external: np.ndarray
+    total: np.ndarray
+    lower_slack: np.ndarray
+    upper_slack: np.ndarray
+
+    @property
+    def araki_lieb_ok(self) -> np.ndarray:
+        """Each row's Araki-Lieb check: both slacks >= -`ARAKI_LIEB_TOL`."""
+        return (self.lower_slack >= -ARAKI_LIEB_TOL) & (self.upper_slack >= -ARAKI_LIEB_TOL)
 
 
 def clamp_nonneg(x):
@@ -270,11 +293,61 @@ def total_correlation(state: PureState | DensityOperator) -> float:
     return float(clamp_nonneg(sum(subsystem_entropies(state)) - von_neumann_entropy(state)))
 
 
-def index_of_correlation(state: PureState | DensityOperator, part: "Partition") -> float:
-    """S(rho_alpha) + S(rho_beta) - S(rho) across the given bipartition:
-    the external correlation of the one-row case of `partitions.decompose_rows`."""
-    from .partitions import decompose_rows  # partitions imports this module
+def _side_sums(values: np.ndarray, sides: list[tuple[int, ...]]) -> np.ndarray:
+    """sum(values[q] for q in side) for each side, added in the side's order."""
+    entry = values.tolist().__getitem__
+    return np.array([sum(map(entry, side)) for side in sides])
 
+
+def decompose_rows(
+    state: PureState | DensityOperator, parts: Sequence[Partition]
+) -> DecompositionRows:
+    """`partitions.decompose` of each partition and its Araki-Lieb slacks, as arrays.
+
+    The entropies come from one `_cut_spectra` call: the single-qubit
+    entropies, S(alpha) and S(beta) of every partition and S of the whole
+    state. (A pure state's S(beta) is the memo entry of S(alpha).) Per
+    row, internal = the side's single-qubit entropies minus its entropy,
+    external = S(alpha) + S(beta) - S, and the slacks are S - |S(alpha) -
+    S(beta)| and S(alpha) + S(beta) - S. Raises TypeError for an entry that
+    is not a Partition (text goes through `report.parse_partition_list`
+    first), PartitionError if a partition does not cover the state and
+    ArithmeticError if a row's parts miss its total by more than
+    `IDENTITY_TOL`.
+    """
+    n, m = state.n_qubits, len(parts)
+    for part in parts:
+        if not isinstance(part, Partition):
+            raise TypeError(
+                f"expected Partition entries, got {part!r} in {parts!r}; "
+                "parse text with report.parse_partition_list first"
+            )
+        part.check_size(n)
+    alphas, betas = [part.alpha for part in parts], [part.beta for part in parts]
+    s = _subset_entropies(state, [*((q,) for q in range(n)), *alphas, *betas, range(n)])
+    s_k, s_alpha, s_beta, s_total = s[:n], s[n : n + m], s[n + m : n + 2 * m], s[-1]
+    s_k_alpha = _side_sums(s_k, alphas)
+    s_k_beta = _side_sums(s_k, betas)
+    internal_alpha = clamp_nonneg(s_k_alpha - s_alpha)
+    internal_beta = clamp_nonneg(s_k_beta - s_beta)
+    external = clamp_nonneg(s_alpha + s_beta - s_total)
+    total = clamp_nonneg(s_k_alpha + s_k_beta - s_total)
+    missed = np.abs(internal_alpha + internal_beta + external - total) > IDENTITY_TOL
+    if missed.any():
+        i = int(np.argmax(missed))
+        raise ArithmeticError(
+            "internal/external decomposition failed to reproduce the total "
+            f"correlation across {parts[i].label()}: {internal_alpha[i]} + "
+            f"{internal_beta[i]} + {external[i]} vs {total[i]}"
+        )
+    lower = s_total - np.abs(s_alpha - s_beta)
+    upper = s_alpha + s_beta - s_total
+    return DecompositionRows(internal_alpha, internal_beta, external, total, lower, upper)
+
+
+def index_of_correlation(state: PureState | DensityOperator, part: Partition) -> float:
+    """S(rho_alpha) + S(rho_beta) - S(rho) across the given bipartition:
+    the external correlation of the one-row case of `decompose_rows`."""
     return float(decompose_rows(state, [part]).external[0])
 
 
@@ -327,16 +400,12 @@ def classify_region(value: float, max_entropies: Sequence[float]) -> Region:
     return _regions(value, min(caps))
 
 
-def araki_lieb_check(
-    state: PureState | DensityOperator, part: "Partition"
-) -> ArakiLiebResult:
+def araki_lieb_check(state: PureState | DensityOperator, part: Partition) -> ArakiLiebResult:
     """Check |S_A - S_B| <= S <= S_A + S_B for the given bipartition.
 
     Returns the slack of each inequality; `ok` means neither is below
-    -`ARAKI_LIEB_TOL`. The one-row case of `partitions.decompose_rows`.
+    -`ARAKI_LIEB_TOL`. The one-row case of `decompose_rows`.
     """
-    from .partitions import decompose_rows  # partitions imports this module
-
     rows = decompose_rows(state, [part])
     return ArakiLiebResult(
         bool(rows.araki_lieb_ok[0]), float(rows.lower_slack[0]), float(rows.upper_slack[0])

@@ -1,4 +1,4 @@
-"""Bipartitions of a qubit register and the internal/external decomposition.
+"""One bipartition's decomposition, the canonical bipartitions, product checks.
 
 Any total correlation splits, relative to a chosen bipartition, into the
 internal correlation of each side plus the external correlation between
@@ -7,95 +7,27 @@ them; the total is invariant under the choice of cut, the parts are not.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .correlation import (
+    IDENTITY_TOL,
     LN2,
     _cut_spectra,
-    _subset_entropies,
-    clamp_nonneg,
+    decompose_rows,
     subsystem_entropies,
     von_neumann_entropy,
 )
-from .errors import PartitionError, PreconditionError
+from .errors import PreconditionError
 from .linalg import partial_trace
-from .states import DensityOperator, PureState, _check_subset
-
-IDENTITY_TOL = 1e-8
+from .states import DensityOperator, Partition, PureState
 
 #: `is_product_across`'s default bound on the Frobenius distance between rho
 #: and rho_alpha (x) rho_beta; for a pure state, a Schmidt tail up to 5e-19.
 PRODUCT_TOL = 1e-9
-
-#: How far below zero an Araki-Lieb slack may read and the check still pass.
-ARAKI_LIEB_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Two disjoint, ordered qubit-index sets covering 0..N-1."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        a, b = tuple(self.alpha), tuple(self.beta)
-        if not a or not b:
-            raise PartitionError("both sides of a partition must be nonempty")
-        n = len(a) + len(b)
-        try:
-            qubits = _check_subset(a + b, n)
-        except IndexError:
-            raise PartitionError(
-                f"sides must be disjoint and cover 0..{n - 1}, got "
-                f"alpha={a}, beta={b}"
-            ) from None
-        object.__setattr__(self, "alpha", qubits[: len(a)])
-        object.__setattr__(self, "beta", qubits[len(a) :])
-
-    @classmethod
-    def _of_checked(cls, alpha: tuple[int, ...], beta: tuple[int, ...]) -> "Partition":
-        """A partition of sides known to be valid, built without the checks."""
-        part = object.__new__(cls)
-        part.__dict__.update(alpha=alpha, beta=beta)
-        return part
-
-    @classmethod
-    def complement(cls, alpha: Iterable[int], n_qubits: int) -> "Partition":
-        """Build a partition from one side; beta is the sorted complement."""
-        a = tuple(alpha)
-        taken = set(a)
-        return cls(a, tuple(q for q in range(n_qubits) if q not in taken))
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.alpha) + len(self.beta)
-
-    def check_size(self, n_qubits: int) -> None:
-        """Raise PartitionError unless the partition covers `n_qubits` qubits."""
-        if self.n_qubits != n_qubits:
-            raise PartitionError(
-                f"partition covers {self.n_qubits} qubits but the state has "
-                f"{n_qubits}"
-            )
-
-    def label(self) -> str:
-        """Letter syntax, e.g. 'ab|cd' (qubit 0 is 'a').
-
-        Past 26 qubits there are no letters left, so the index syntax
-        '0,1|2,...,29' is used instead; `parse_partition` reads both.
-        """
-        letters = string.ascii_lowercase
-        if self.n_qubits > len(letters):
-            sep, name = ",", str
-        else:
-            sep, name = "", letters.__getitem__
-        return f"{sep.join(map(name, self.alpha))}|{sep.join(map(name, self.beta))}"
 
 
 @dataclass(frozen=True)
@@ -106,77 +38,6 @@ class Decomposition:
     internal_beta: float
     external: float
     total: float
-
-
-@dataclass(frozen=True)
-class DecompositionRows:
-    """`decompose` and the Araki-Lieb slacks of many partitions, one array
-    entry per partition, in the order given."""
-
-    internal_alpha: np.ndarray
-    internal_beta: np.ndarray
-    external: np.ndarray
-    total: np.ndarray
-    lower_slack: np.ndarray
-    upper_slack: np.ndarray
-
-    @property
-    def araki_lieb_ok(self) -> np.ndarray:
-        """Each row's Araki-Lieb check: both slacks >= -`ARAKI_LIEB_TOL`."""
-        return (self.lower_slack >= -ARAKI_LIEB_TOL) & (self.upper_slack >= -ARAKI_LIEB_TOL)
-
-
-def _side_sums(values: np.ndarray, sides: list[tuple[int, ...]]) -> np.ndarray:
-    """sum(values[q] for q in side) for each side, added in the side's order."""
-    entry = values.tolist().__getitem__
-    return np.array([sum(map(entry, side)) for side in sides])
-
-
-def decompose_rows(
-    state: PureState | DensityOperator, parts: Sequence[Partition]
-) -> DecompositionRows:
-    """`decompose` of each partition, with its Araki-Lieb slacks, as arrays.
-
-    The entropies come from one `_cut_spectra` call: the single-qubit
-    entropies, S(alpha) and S(beta) of every partition and S of the whole
-    state. (A pure state's S(beta) is the memo entry of S(alpha).) Per
-    row, internal = the side's single-qubit entropies minus its entropy,
-    external = S(alpha) + S(beta) - S, and the slacks are S - |S(alpha) -
-    S(beta)| and S(alpha) + S(beta) - S. Raises TypeError for an entry that
-    is not a Partition (text goes through `report.parse_partition_list`
-    first), PartitionError if a partition does not cover the state and
-    ArithmeticError if a row's parts miss its total by more than
-    `IDENTITY_TOL`.
-    """
-    n, m = state.n_qubits, len(parts)
-    for part in parts:
-        if not isinstance(part, Partition):
-            raise TypeError(
-                f"expected Partition entries, got {part!r} in {parts!r}; "
-                "parse text with report.parse_partition_list first"
-            )
-        part.check_size(n)
-    alphas = [part.alpha for part in parts]
-    betas = [part.beta for part in parts]
-    s = _subset_entropies(state, [*((q,) for q in range(n)), *alphas, *betas, range(n)])
-    s_k, s_alpha, s_beta, s_total = s[:n], s[n : n + m], s[n + m : n + 2 * m], s[-1]
-    s_k_alpha = _side_sums(s_k, alphas)
-    s_k_beta = _side_sums(s_k, betas)
-    internal_alpha = clamp_nonneg(s_k_alpha - s_alpha)
-    internal_beta = clamp_nonneg(s_k_beta - s_beta)
-    external = clamp_nonneg(s_alpha + s_beta - s_total)
-    total = clamp_nonneg(s_k_alpha + s_k_beta - s_total)
-    missed = np.abs(internal_alpha + internal_beta + external - total) > IDENTITY_TOL
-    if missed.any():
-        i = int(np.argmax(missed))
-        raise ArithmeticError(
-            "internal/external decomposition failed to reproduce the total "
-            f"correlation across {parts[i].label()}: {internal_alpha[i]} + "
-            f"{internal_beta[i]} + {external[i]} vs {total[i]}"
-        )
-    lower = s_total - np.abs(s_alpha - s_beta)
-    upper = s_alpha + s_beta - s_total
-    return DecompositionRows(internal_alpha, internal_beta, external, total, lower, upper)
 
 
 def decompose(state: PureState | DensityOperator, part: Partition) -> Decomposition:
@@ -212,9 +73,7 @@ def pure_state_decomposition_identities(s: PureState, part: Partition) -> Decomp
         )
     for k, s_k in enumerate(subsystem_entropies(s)):
         if abs(s_k - LN2) > IDENTITY_TOL:
-            raise PreconditionError(
-                f"single-qubit entropy of qubit {k} is {s_k}, not ln 2"
-            )
+            raise PreconditionError(f"single-qubit entropy of qubit {k} is {s_k}, not ln 2")
     result = decompose(s, part)
     expected_total = 2 * n_side * LN2
     if abs(result.total - expected_total) > IDENTITY_TOL:
@@ -249,9 +108,7 @@ def enumerate_bipartitions(n_qubits: int, size_alpha: int | None = None) -> list
         sizes = range(1, n_qubits)
     else:
         if not 1 <= size_alpha < n_qubits:
-            raise ValueError(
-                f"size_alpha must be in 1..{n_qubits - 1}, got {size_alpha}"
-            )
+            raise ValueError(f"size_alpha must be in 1..{n_qubits - 1}, got {size_alpha}")
         sizes = sorted({size_alpha, n_qubits - size_alpha})
     out = []
     others = range(1, n_qubits)

@@ -25,11 +25,13 @@ from .correlation import (
     _regions,
     clamp_nonneg,
     correlation_bounds,
+    decompose_rows,
 )
-from .errors import NotNormalizedError, SizeCapError, SpecParseError, StateFileError
-from .partitions import Partition, _product_flags, decompose_rows, enumerate_bipartitions
+from .errors import NotNormalizedError, PartitionError, SizeCapError, SpecParseError, StateFileError
+from .partitions import _product_flags, enumerate_bipartitions
 from .states import (
     NORM_TOL,
+    Partition,
     PureState,
     _check_cap,
     _check_subset,
@@ -51,6 +53,13 @@ _CONSTRUCTORS = {
 }
 
 STATE_KINDS = (*_CONSTRUCTORS, "file")
+
+#: What a kind's count means and its least value (`ghz`'s constructor words its own).
+_COUNTS = {
+    "ue": ("total qubit count", 2),
+    "bellpairs": ("number of Bell pairs", 1),
+    "ghzblocks": ("number of qubits per block", 2),
+}
 
 FILE_NORM_TOL = 1e-8
 
@@ -87,8 +96,8 @@ def parse_state_spec(text: str, max_qubits: int | None = None) -> PureState:
 
     A parameter other than a file path is ASCII digits only. Raises
     SpecParseError (with the offset of the first bad character) for
-    malformed input; a `ue` total that is odd or 0 is a ValueError since the
-    syntax itself is fine, and a count too long for int() is a SizeCapError.
+    malformed input, ValueError for a count its kind does not take, and
+    SizeCapError for one too long for int().
     """
     if not text:
         raise SpecParseError("empty state spec", 0)
@@ -115,9 +124,10 @@ def parse_state_spec(text: str, max_qubits: int | None = None) -> PureState:
         raise SizeCapError(
             f"parameter for {head!r} has {len(digits)} digits, above the size cap"
         ) from None
-    if head == "ue" and (value % 2 or not value):
-        need = "even" if value else "at least 2"
-        raise ValueError(f"'ue' takes the total qubit count, which must be {need}; got {value}")
+    what, least = _COUNTS.get(head, ("", 0))
+    if value < least or head == "ue" and value % 2:
+        need = "even" if head == "ue" and value % 2 else f"at least {least}"
+        raise ValueError(f"{head!r} takes the {what}, which must be {need}; got {value}")
     return _CONSTRUCTORS[head](value, max_qubits=max_qubits)
 
 
@@ -231,7 +241,10 @@ def _parse_partition(text: str, n_qubits: int, offset: int) -> Partition:
     left, right = text.split("|")
     alpha = _parse_side(left, offset)
     beta = _parse_side(right, offset + len(left) + 1)
-    part = Partition(alpha, beta)
+    try:
+        part = Partition(alpha, beta)
+    except PartitionError as e:  # a qubit named twice or out of range
+        raise SpecParseError(str(e), offset) from None
     if part.n_qubits != n_qubits:
         raise SpecParseError(
             f"partition {text!r} covers {part.n_qubits} qubits, state has "

@@ -1,4 +1,4 @@
-"""N-qubit pure states and density operators, plus the named constructors.
+"""N-qubit pure states, density operators, named constructors and `Partition`s.
 
 Basis convention: in a ket label |q0 q1 ... q(N-1)> the leftmost symbol is
 qubit 0 and the most significant bit of the amplitude index, so |0110> on
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,6 +20,7 @@ from .errors import (
     NotHermitianError,
     NotNormalizedError,
     NotPositiveError,
+    PartitionError,
     SizeCapError,
     TraceError,
 )
@@ -210,6 +212,65 @@ def _check_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     if len(set(kept)) != len(kept) or (kept and (min(kept) < 0 or max(kept) >= n)):
         raise IndexError(f"subset {kept} must hold distinct qubits in 0..{n - 1}")
     return kept
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Two disjoint, ordered qubit-index sets covering 0..N-1."""
+
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
+
+    def __post_init__(self):
+        a, b = tuple(self.alpha), tuple(self.beta)
+        if not a or not b:
+            raise PartitionError("both sides of a partition must be nonempty")
+        n = len(a) + len(b)
+        try:
+            qubits = _check_subset(a + b, n)
+        except IndexError:
+            raise PartitionError(
+                f"sides must be disjoint and cover 0..{n - 1}, got "
+                f"alpha={a}, beta={b}"
+            ) from None
+        object.__setattr__(self, "alpha", qubits[: len(a)])
+        object.__setattr__(self, "beta", qubits[len(a) :])
+
+    @classmethod
+    def _of_checked(cls, alpha: tuple[int, ...], beta: tuple[int, ...]) -> "Partition":
+        """A partition of sides known to be valid, built without the checks."""
+        part = object.__new__(cls)
+        part.__dict__.update(alpha=alpha, beta=beta)
+        return part
+
+    @classmethod
+    def complement(cls, alpha: Iterable[int], n_qubits: int) -> "Partition":
+        """Build a partition from one side; beta is the sorted complement."""
+        a = tuple(alpha)
+        taken = set(a)
+        return cls(a, tuple(q for q in range(n_qubits) if q not in taken))
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.alpha) + len(self.beta)
+
+    def check_size(self, n_qubits: int) -> None:
+        """Raise PartitionError unless the partition covers `n_qubits` qubits."""
+        if self.n_qubits != n_qubits:
+            raise PartitionError(
+                f"partition covers {self.n_qubits} qubits but the state has "
+                f"{n_qubits}"
+            )
+
+    def label(self) -> str:
+        """Letter syntax, e.g. 'ab|cd' (qubit 0 is 'a').
+
+        Past 26 qubits there are no letters left, so the index syntax
+        '0,1|2,...,29' is used instead; `report.parse_partition` reads both.
+        """
+        letters = string.ascii_lowercase
+        sep, name = (",", str) if self.n_qubits > len(letters) else ("", letters.__getitem__)
+        return f"{sep.join(map(name, self.alpha))}|{sep.join(map(name, self.beta))}"
 
 
 def _amplitude_matrices(

@@ -1,5 +1,5 @@
 """The batched cut engine, `correlation._cut_spectra`, and the array form
-of the decomposition, `partitions.decompose_rows`.
+of the decomposition, `correlation.decompose_rows`.
 
 The engine takes Gram spectra at every cut, which are accurate for entropies
 but leave an exact product's tail at rounding noise; those cuts must be
@@ -28,12 +28,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qcorr.partitions
 from qcorr import (
     DensityOperator,
     Partition,
     PartitionError,
     PureState,
+    analyze,
     araki_lieb_check,
     bell_product,
     decompose,
@@ -50,8 +50,15 @@ from qcorr import (
     uniform_entangled,
 )
 import qcorr.correlation
-from qcorr.correlation import _SET_BLAS_THREADS, GRAM_TAIL_FLOOR, _cut_spectra, clamp_nonneg
-from qcorr.partitions import _product_flag, decompose_rows
+from qcorr.correlation import (
+    _SET_BLAS_THREADS,
+    GRAM_TAIL_FLOOR,
+    IDENTITY_TOL,
+    _cut_spectra,
+    clamp_nonneg,
+    decompose_rows,
+)
+from qcorr.partitions import _product_flag
 from qcorr.states import _amplitude_matrices
 from helpers import (
     brute_pure_reduced,
@@ -280,16 +287,44 @@ def test_rows_check_every_partition_and_the_identity(monkeypatch):
     good = Partition((0,), (1, 2, 3))
     with pytest.raises(PartitionError):
         decompose_rows(state, [good, Partition((0,), (1, 2))])
-    real = qcorr.partitions._subset_entropies
+    real = qcorr.correlation._subset_entropies
 
     def corrupted(state, subsets):
         s = real(state, subsets)
         s[state.n_qubits + 1] += 1.0  # S(alpha) of the second row
         return s
 
-    monkeypatch.setattr(qcorr.partitions, "_subset_entropies", corrupted)
+    monkeypatch.setattr(qcorr.correlation, "_subset_entropies", corrupted)
     with pytest.raises(ArithmeticError, match=r"b\|acd"):
         decompose_rows(state, [good, Partition((1,), (0, 2, 3))])
+
+
+@pytest.mark.parametrize("raised, holds", [(0.5 * IDENTITY_TOL, True), (2 * IDENTITY_TOL, False)])
+@pytest.mark.parametrize("call", ["decompose_rows", "decompose", "analyze"])
+def test_the_identity_check_flips_at_its_tolerance(call, raised, holds, monkeypatch):
+    # With alpha = qubit b alone, internal(alpha) = S_b - S(alpha) reads one
+    # memo entry twice and is exactly 0, so raising S(alpha) by d leaves it
+    # clamped at 0, adds d to external and leaves the parts d above the total.
+    state = PureState(4, random_pure(np.random.default_rng(93), 4))
+    part = Partition((1,), (0, 2, 3))
+    real = qcorr.correlation._subset_entropies
+
+    def raised_alpha(state, subsets):
+        s = real(state, subsets)
+        s[state.n_qubits] += raised  # S(alpha) of the one row
+        return s
+
+    monkeypatch.setattr(qcorr.correlation, "_subset_entropies", raised_alpha)
+    internal_alpha = {
+        "decompose_rows": lambda: decompose_rows(state, [part]).internal_alpha[0],
+        "decompose": lambda: decompose(state, part).internal_alpha,
+        "analyze": lambda: analyze(state, [part]).entries[0].internal_alpha,
+    }[call]
+    if holds:
+        assert internal_alpha() == 0.0
+    else:
+        with pytest.raises(ArithmeticError, match=r"across b\|acd"):
+            internal_alpha()
 
 
 @pytest.fixture

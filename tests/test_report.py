@@ -60,6 +60,24 @@ def test_parse_state_spec_rejects_odd_ue():
         parse_state_spec("ue:5")
 
 
+@pytest.mark.parametrize(
+    "text, what, need",
+    [
+        ("bellpairs:0", "number of Bell pairs", "at least 1"),
+        ("ghzblocks:0", "number of qubits per block", "at least 2"),
+        ("ghzblocks:1", "number of qubits per block", "at least 2"),
+        ("ue:0", "total qubit count", "at least 2"),
+        ("ue:1", "total qubit count", "even"),
+    ],
+)
+def test_a_count_below_its_kind_is_named_in_spec_terms(text, what, need):
+    # not in the constructor's terms, such as "pairs must be >= 1"
+    kind, count = text.split(":")
+    with pytest.raises(ValueError) as err:
+        parse_state_spec(text)
+    assert str(err.value) == f"{kind!r} takes the {what}, which must be {need}; got {count}"
+
+
 def test_parse_state_spec_errors_carry_position():
     with pytest.raises(SpecParseError) as err:
         parse_state_spec("xyz:4")
@@ -207,6 +225,22 @@ def test_parse_partition_list_errors_give_their_position_in_the_list():
     for text, position, message in cases:
         with pytest.raises(SpecParseError, match=message) as err:
             parse_partition_list(text, 4)
+        assert err.value.position == position, text
+
+
+def test_a_qubit_named_twice_or_out_of_range_gives_its_entry_position():
+    cases = [
+        ("ab|cd,aa|bc", 6, "alpha=(0, 0), beta=(1, 2)"),
+        ("ab|cd, ac|ba", 7, "alpha=(0, 2), beta=(1, 0)"),
+        ("ab|ce", 0, "alpha=(0, 1), beta=(2, 4)"),
+        ("0,1|2,-1", 0, "alpha=(0, 1), beta=(2, -1)"),
+    ]
+    for text, position, sides in cases:
+        with pytest.raises(SpecParseError) as err:
+            parse_partition_list(text, 4)
+        assert str(err.value) == (
+            f"sides must be disjoint and cover 0..3, got {sides} (at position {position})"
+        )
         assert err.value.position == position, text
 
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import qcorr.correlation
 import qcorr.partitions
 import qcorr.report
+import qcorr.states
 from qcorr import (
     DecompositionRows,
     Partition,
@@ -156,7 +157,7 @@ def test_a_sweep_enters_the_engine_twice(monkeypatch):
     for module in (qcorr.correlation, qcorr.partitions, qcorr.report):
         counting(module, "_cut_spectra", "engine")
     counting(qcorr.correlation, "_check_subset", "engine checks")
-    counting(qcorr.partitions, "_check_subset", "partition checks")
+    counting(qcorr.states, "_check_subset", "partition checks")
     m = len(sweep(state).entries)
     assert m == 2 ** (n - 1) - 1
     assert calls["engine"] <= 2, calls
@@ -395,7 +396,7 @@ def test_araki_lieb_verdict_flips_at_its_tolerance(side, slack, ok, monkeypatch)
     rows = DecompositionRows(zero, zero, zero, zero, **slacks)
     assert rows.araki_lieb_ok.tolist() == [ok]
     # the one-row check and the report's AND read the same rule
-    monkeypatch.setattr(qcorr.partitions, "decompose_rows", lambda state, parts: rows)
+    monkeypatch.setattr(qcorr.correlation, "decompose_rows", lambda state, parts: rows)
     monkeypatch.setattr(qcorr.report, "decompose_rows", lambda state, parts: rows)
     part = parse_partition("ab|cd", 4)
     assert araki_lieb_check(ghz(4), part).ok is ok
