@@ -2,8 +2,9 @@
 
 Subcommands: analyze, sweep, entropy, purify. States are given as specs
 (`ghz:4`, `ue:4`, `bellpairs:2`, `ghzblocks:3`, `file:PATH`), partitions as
-`ab|cd` or `0,2|1,3`. Exit codes: 0 success, 2 parse/validation error,
-3 size cap exceeded or an allocation refused.
+`ab|cd` or `0,2|1,3`. Exit codes: 0 success, 1 stdout closed before the
+output was written (as by `| head`), 2 parse/validation error, 3 size cap
+exceeded or an allocation refused.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .correlation import LN2, von_neumann_entropy
@@ -146,7 +148,13 @@ def main(argv=None) -> int:
         print(f"error: --max-qubits must be at least 1, got {args.max_qubits}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # Exit 1, quietly, as Python's signal docs advise; devnull quiets exit's flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SizeCapError, MemoryError) as e:  # numpy names the size it could not allocate
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3

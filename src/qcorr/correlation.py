@@ -276,21 +276,16 @@ def von_neumann_entropy(
     return _cut_spectra(state, [range(n) if subset is None else _check_subset(subset, n)])[0][1]
 
 
-def _subset_entropies(
-    state: PureState | DensityOperator, subsets: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """`von_neumann_entropy` of each subset, in one engine call."""
-    return np.array([cut[1] for cut in _cut_spectra(state, subsets)])
-
-
 def subsystem_entropies(state: PureState | DensityOperator) -> list[float]:
     """Entropy of each single-qubit reduction, in qubit order."""
-    return _subset_entropies(state, [(k,) for k in range(state.n_qubits)]).tolist()
+    return [cut[1] for cut in _cut_spectra(state, [(k,) for k in range(state.n_qubits)])]
 
 
 def total_correlation(state: PureState | DensityOperator) -> float:
     """Sum of single-qubit entropies minus the total entropy, clamped to >= 0."""
-    return float(clamp_nonneg(sum(subsystem_entropies(state)) - von_neumann_entropy(state)))
+    n = state.n_qubits
+    *s_k, s = (cut[1] for cut in _cut_spectra(state, [*((q,) for q in range(n)), range(n)]))
+    return float(clamp_nonneg(sum(s_k) - s))
 
 
 def _side_sums(values: np.ndarray, sides: list[tuple[int, ...]]) -> np.ndarray:
@@ -304,10 +299,7 @@ def decompose_rows(
 ) -> DecompositionRows:
     """`partitions.decompose` of each partition and its Araki-Lieb slacks, as arrays.
 
-    The entropies come from one `_cut_spectra` call: the single-qubit
-    entropies, S(alpha) and S(beta) of every partition and S of the whole
-    state. (A pure state's S(beta) is the memo entry of S(alpha).) Per
-    row, internal = the side's single-qubit entropies minus its entropy,
+    Per row, internal = the side's single-qubit entropies minus its entropy,
     external = S(alpha) + S(beta) - S, and the slacks are S - |S(alpha) -
     S(beta)| and S(alpha) + S(beta) - S. Raises TypeError for an entry that
     is not a Partition (text goes through `report.parse_partition_list`
@@ -315,6 +307,15 @@ def decompose_rows(
     ArithmeticError if a row's parts miss its total by more than
     `IDENTITY_TOL`.
     """
+    return _decomposition(state, parts)[0]
+
+
+def _decomposition(
+    state: PureState | DensityOperator, parts: Sequence[Partition]
+) -> tuple[DecompositionRows, list[tuple[np.ndarray, float]]]:
+    """`decompose_rows` and the cut table it reads, from one engine call: the
+    `_cut_spectra` entries of each qubit, each alpha, each beta and the whole
+    register, in that order (a pure state's beta entry is its alpha entry)."""
     n, m = state.n_qubits, len(parts)
     for part in parts:
         if not isinstance(part, Partition):
@@ -324,7 +325,8 @@ def decompose_rows(
             )
         part.check_size(n)
     alphas, betas = [part.alpha for part in parts], [part.beta for part in parts]
-    s = _subset_entropies(state, [*((q,) for q in range(n)), *alphas, *betas, range(n)])
+    cuts = _cut_spectra(state, [*((q,) for q in range(n)), *alphas, *betas, range(n)])
+    s = np.array([cut[1] for cut in cuts])
     s_k, s_alpha, s_beta, s_total = s[:n], s[n : n + m], s[n + m : n + 2 * m], s[-1]
     s_k_alpha = _side_sums(s_k, alphas)
     s_k_beta = _side_sums(s_k, betas)
@@ -342,7 +344,7 @@ def decompose_rows(
         )
     lower = s_total - np.abs(s_alpha - s_beta)
     upper = s_alpha + s_beta - s_total
-    return DecompositionRows(internal_alpha, internal_beta, external, total, lower, upper)
+    return DecompositionRows(internal_alpha, internal_beta, external, total, lower, upper), cuts
 
 
 def index_of_correlation(state: PureState | DensityOperator, part: Partition) -> float:

@@ -68,8 +68,7 @@ def pure_state_decomposition_identities(s: PureState, part: Partition) -> Decomp
     n_side = len(part.alpha)
     if n_side != len(part.beta):
         raise PreconditionError(
-            f"sides must be the same size, got {len(part.alpha)} and "
-            f"{len(part.beta)}"
+            f"sides must be the same size, got {len(part.alpha)} and {len(part.beta)}"
         )
     for k, s_k in enumerate(subsystem_entropies(s)):
         if abs(s_k - LN2) > IDENTITY_TOL:
@@ -78,8 +77,7 @@ def pure_state_decomposition_identities(s: PureState, part: Partition) -> Decomp
     expected_total = 2 * n_side * LN2
     if abs(result.total - expected_total) > IDENTITY_TOL:
         raise PreconditionError(
-            f"total correlation is {result.total}, not the maximum "
-            f"{expected_total}"
+            f"total correlation is {result.total}, not the maximum {expected_total}"
         )
     s_alpha = von_neumann_entropy(s, part.alpha)
     checks = [
@@ -188,7 +186,6 @@ def tradeoff_delta(d1: Decomposition, d2: Decomposition) -> float:
     rhs = d2.external - d1.external
     if abs(lhs - rhs) > IDENTITY_TOL:
         raise PreconditionError(
-            f"trade-off identity violated: internal drop {lhs} vs external "
-            f"gain {rhs}"
+            f"trade-off identity violated: internal drop {lhs} vs external gain {rhs}"
         )
     return rhs

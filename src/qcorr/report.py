@@ -21,11 +21,10 @@ from .correlation import (
     LN2,
     BoundsReport,
     Region,
-    _cut_spectra,
+    _decomposition,
     _regions,
     clamp_nonneg,
     correlation_bounds,
-    decompose_rows,
 )
 from .errors import NotNormalizedError, PartitionError, SizeCapError, SpecParseError, StateFileError
 from .partitions import _product_flags, enumerate_bipartitions
@@ -295,11 +294,10 @@ def _analyze_pure(
 ) -> CorrelationReport:
     if units not in ("nats", "bits"):
         raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
-    # The rows' engine pass solves every cut; one more reads the memo for the
-    # single-qubit entropies, each row's product flag and the total entropy.
-    rows = decompose_rows(state, parts)
-    n = state.n_qubits
-    cuts = _cut_spectra(state, [*((q,) for q in range(n)), *(p.alpha for p in parts), range(n)])
+    # The rows' one engine pass also gives the single-qubit entropies, each
+    # row's product flag (from its alpha spectrum) and the total entropy.
+    rows, cuts = _decomposition(state, parts)
+    n, m = state.n_qubits, len(parts)
     s_k = [entropy for _, entropy in cuts[:n]]
     # `classify_region` of every row at once; an internal part's caps are
     # ln 2 per qubit, the external part's |alpha| ln 2 and |beta| ln 2.
@@ -307,19 +305,14 @@ def _analyze_pure(
     values = [rows.internal_alpha, rows.internal_beta, rows.external]
     caps = [LN2, LN2, np.minimum(sizes, n - sizes) * LN2]
     regions = [_regions(*column).tolist() for column in zip(values, caps)]
-    flags = _product_flags([probs for probs, _ in cuts[n:-1]]).tolist()
+    flags = _product_flags([probs for probs, _ in cuts[n : n + m]]).tolist()
     entries = tuple(
         PartitionAnalysis(part.label(), *row)
         for part, *row in zip(parts, *(v.tolist() for v in values), *regions, flags)
     )
-    return CorrelationReport(
-        n_qubits=n,
-        units=units,
-        total_nats=float(clamp_nonneg(sum(s_k) - cuts[-1][1])),
-        subsystem_entropies=tuple(s_k),
-        bounds=replace(correlation_bounds(s_k), araki_lieb_ok=bool(rows.araki_lieb_ok.all())),
-        entries=entries,
-    )
+    total = float(clamp_nonneg(sum(s_k) - cuts[-1][1]))
+    bounds = replace(correlation_bounds(s_k), araki_lieb_ok=bool(rows.araki_lieb_ok.all()))
+    return CorrelationReport(n, units, total, tuple(s_k), bounds, entries)
 
 
 def analyze(

@@ -61,16 +61,12 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
         dim = 1 << self.n_qubits
         if amps.shape != (dim,):
-            raise ValueError(
-                f"amplitude vector must have length {dim}, got shape {amps.shape}"
-            )
+            raise ValueError(f"amplitude vector must have length {dim}, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
         nrm2 = float(np.vdot(amps, amps).real)
         if not abs(nrm2 - 1.0) <= NORM_TOL:  # also a NaN from overflow
-            raise NotNormalizedError(
-                f"squared norm is {nrm2!r}, outside 1 +/- {NORM_TOL}"
-            )
+            raise NotNormalizedError(f"squared norm is {nrm2!r}, outside 1 +/- {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -5,11 +5,12 @@ output, then review the diff of `expected.json` and `stdout/`:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Each command runs in process through `qcorr.cli.main`. `expected.json`
-records the build the outputs came from and, per command, its exit code,
-its stderr and the file under `stdout/` that holds its stdout (none when
-stdout is empty) or, for a 12-qubit state, the stdout's sha256 and line
-count.
+Each command runs in process through `qcorr.cli.main`, with argparse's
+help formatted 80 columns wide. `expected.json` records the build the
+outputs came from, the Python version the `--help` text came from and, per
+command, its exit code, its stderr and the file under `stdout/` that holds
+its stdout (none when stdout is empty) or, for a 12-qubit state, the
+stdout's sha256 and line count.
 `tests/test_golden.py` reads the same files through this module.
 """
 
@@ -21,11 +22,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import shlex
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -80,6 +83,16 @@ def write_states(folder: Path) -> None:
         (folder / f"{name}.json").write_text(json.dumps(doc))
 
 
+def is_help(command: str) -> bool:
+    """Whether the command prints argparse's help, whose wording follows
+    the Python version rather than the numpy build."""
+    return "--help" in shlex.split(command)
+
+
+def python_version() -> str:
+    return f"{sys.version_info.major}.{sys.version_info.minor}"
+
+
 def run(command: str, folder: Path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one command, with `file:@NAME` read
     from `folder`."""
@@ -88,8 +101,10 @@ def run(command: str, folder: Path) -> tuple[int, str, str]:
         for arg in shlex.split(command)
     ]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    # argparse wraps help to the terminal's width, which it reads from COLUMNS
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -127,7 +142,7 @@ def main() -> int:
                 entry["stdout"] = f"stdout/{i:02d}.txt"
                 (HERE / entry["stdout"]).write_text(out)
             outputs.append(entry)
-    doc = {"build": build(), "outputs": outputs}
+    doc = {"build": build(), "python": python_version(), "outputs": outputs}
     EXPECTED.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"{len(outputs)} commands recorded in {EXPECTED}", file=sys.stderr)
     return 0

@@ -210,6 +210,24 @@ def test_a_refused_allocation_exits_3_with_one_line(argv, size):
     assert result.stderr.count("\n") == 1
 
 
+def test_a_stdout_closed_early_exits_1_and_writes_no_error():
+    # A reader that stops after one byte, as `| head -c 1` does: the rest of a
+    # 12-qubit sweep's JSON, far more than a pipe holds, meets a closed pipe.
+    # That is not bad input (exit 2), and the flush at exit stays quiet too.
+    src = str(Path(qcorr.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "qcorr.cli", "sweep", "--state", "ue:12", "--json"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        first = child.stdout.read(1)
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert (first, code, err) == (b"{", 1, b"")
+
+
 def test_a_memory_error_without_a_message_still_says_what_failed(capsys, monkeypatch):
     def out_of_memory(args):
         raise MemoryError

@@ -247,3 +247,18 @@ def test_clamped_zeros_are_positive():
     basis = to_density(PureState(2, np.array([1, 0, 0, 0], dtype=complex)))
     assert math.copysign(1.0, total_correlation(basis)) == 1.0
     assert math.copysign(1.0, index_of_correlation(basis, Partition((0,), (1,)))) == 1.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: max_total_correlation(0), "n_qubits must be >= 1, got 0"),
+        (lambda: correlation_bounds([]), "need at least one subsystem entropy"),
+        (lambda: classify_region(0.1, [0.0]), "maximum entropies must be > 0"),
+        (lambda: classify_region(0.1, [LN2, -LN2]), "maximum entropies must be > 0"),
+    ],
+)
+def test_empty_or_nonpositive_arguments_are_named(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

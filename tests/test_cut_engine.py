@@ -287,14 +287,15 @@ def test_rows_check_every_partition_and_the_identity(monkeypatch):
     good = Partition((0,), (1, 2, 3))
     with pytest.raises(PartitionError):
         decompose_rows(state, [good, Partition((0,), (1, 2))])
-    real = qcorr.correlation._subset_entropies
+    real = qcorr.correlation._cut_spectra
 
     def corrupted(state, subsets):
-        s = real(state, subsets)
-        s[state.n_qubits + 1] += 1.0  # S(alpha) of the second row
-        return s
+        cuts = real(state, subsets)
+        probs, entropy = cuts[state.n_qubits + 1]  # S(alpha) of the second row
+        cuts[state.n_qubits + 1] = (probs, entropy + 1.0)
+        return cuts
 
-    monkeypatch.setattr(qcorr.correlation, "_subset_entropies", corrupted)
+    monkeypatch.setattr(qcorr.correlation, "_cut_spectra", corrupted)
     with pytest.raises(ArithmeticError, match=r"b\|acd"):
         decompose_rows(state, [good, Partition((1,), (0, 2, 3))])
 
@@ -307,14 +308,15 @@ def test_the_identity_check_flips_at_its_tolerance(call, raised, holds, monkeypa
     # clamped at 0, adds d to external and leaves the parts d above the total.
     state = PureState(4, random_pure(np.random.default_rng(93), 4))
     part = Partition((1,), (0, 2, 3))
-    real = qcorr.correlation._subset_entropies
+    real = qcorr.correlation._cut_spectra
 
     def raised_alpha(state, subsets):
-        s = real(state, subsets)
-        s[state.n_qubits] += raised  # S(alpha) of the one row
-        return s
+        cuts = real(state, subsets)
+        probs, entropy = cuts[state.n_qubits]  # S(alpha) of the one row
+        cuts[state.n_qubits] = (probs, entropy + raised)
+        return cuts
 
-    monkeypatch.setattr(qcorr.correlation, "_subset_entropies", raised_alpha)
+    monkeypatch.setattr(qcorr.correlation, "_cut_spectra", raised_alpha)
     internal_alpha = {
         "decompose_rows": lambda: decompose_rows(state, [part]).internal_alpha[0],
         "decompose": lambda: decompose(state, part).internal_alpha,

@@ -8,6 +8,9 @@ another numpy or OpenBLAS build the last bits of a solve may move, so a
 full stdout must match outside its numbers, and each number must lie
 within 1e-11 of the recorded one relative to max(1, |value|), or within one
 unit in its last printed digit; a hashed stdout must keep its line count.
+`--help` text follows the Python version instead: it must match byte for
+byte on the version it was recorded on, and on another one it must still
+name every option string the recorded text names.
 `PYTHONPATH=src python tests/golden/regen.py` rewrites the files.
 """
 
@@ -20,10 +23,14 @@ from golden import regen
 
 DOC = json.loads(regen.EXPECTED.read_text())
 SAME_BUILD = DOC["build"] == regen.build()
+SAME_PYTHON = DOC["python"] == regen.python_version()
 OUTPUTS = DOC["outputs"]
 
 #: A decimal number as the CLI prints one; an integer token has no '.' or 'e'.
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+#: An option string in argparse's help, such as -h or --max-qubits.
+OPTION = re.compile(r"(?<![\w-])--?[a-z][\w-]*")
 
 
 def _unit(token: str) -> float:
@@ -69,7 +76,12 @@ def test_cli_output_is_the_recorded_output(entry, state_files):
             assert regen.digest(out) == entry["stdout_sha256"]
         return
     want = (regen.HERE / entry["stdout"]).read_text() if "stdout" in entry else ""
-    if SAME_BUILD:
+    if regen.is_help(entry["command"]):
+        if SAME_PYTHON:
+            assert out == want
+        else:
+            assert set(OPTION.findall(want)) <= set(OPTION.findall(out))
+    elif SAME_BUILD:
         assert out == want
     else:
         assert same_up_to_build(out, want)
@@ -88,3 +100,19 @@ def test_another_build_may_move_numbers_but_not_text():
         ("1.386294361\n", "1.386294361 \n"),
     ]:
         assert not same_up_to_build(want.replace(old, new), want), new
+
+
+def test_the_option_rule_finds_every_option_of_the_recorded_help():
+    common = {"-h", "--help", "--state", "--max-qubits"}
+    want = {
+        "--help": {"-h", "--help"},
+        "analyze --help": common | {"--partition", "--units", "--json"},
+        "sweep --help": common | {"--size-alpha", "--units", "--json"},
+        "entropy --help": common | {"--subset"},
+        "purify --help": common | {"--subset", "--json"},
+    }
+    recorded = {e["command"]: e for e in OUTPUTS if regen.is_help(e["command"])}
+    assert recorded.keys() == want.keys()
+    for command, options in want.items():
+        text = (regen.HERE / recorded[command]["stdout"]).read_text()
+        assert set(OPTION.findall(text)) == options, command

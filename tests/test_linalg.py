@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcorr.linalg
 from qcorr import (
     PureState,
     SizeCapError,
@@ -16,6 +17,7 @@ from qcorr import (
     reduced_operator,
     to_density,
     uniform_entangled,
+    validate_density,
 )
 from qcorr.linalg import tridiagonal_form
 from qcorr.purification import RANK_THRESHOLD
@@ -228,3 +230,35 @@ def test_the_tridiagonal_route_declines_what_lapack_would_scale():
     assert tridiagonal_form(huge) is None
     assert tridiagonal_form(tiny) is None
     assert tridiagonal_form(inside) is not None
+
+
+def test_kron_and_partial_trace_reject_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError) as raised:
+        kron(np.ones((2, 3)), I2)
+    assert str(raised.value) == "expected a square matrix, got shape (2, 3)"
+    with pytest.raises(ValueError) as raised:
+        partial_trace(BELL_RHO, 3, (0,))
+    assert str(raised.value) == "matrix shape (4, 4) does not match 3 qubits (dim 8)"
+
+
+@pytest.mark.skipif(not TRIDIAGONAL, reason="numpy's LAPACK lacks a tridiagonal routine")
+def test_a_lapack_error_or_short_count_raises_linalg_error(monkeypatch):
+    # Stand-ins for the routines report what LAPACK would on failure: a
+    # nonzero INFO from dsterf, and dstebz finding one eigenvalue fewer.
+    a = validate_density(random_density(np.random.default_rng(31), 3), 3).matrix
+
+    def failing_dsterf(n, d, e, info):
+        info._obj.value = 2
+
+    monkeypatch.setattr(qcorr.linalg, "_DSTERF", failing_dsterf)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dsterf returned info 2$"):
+        tridiagonal_form(a.copy()).eigenvalues()
+    real_dstebz = qcorr.linalg._DSTEBZ
+
+    def short_dstebz(*args):
+        real_dstebz(*args)
+        args[10]._obj.value -= 1  # M, the count found
+
+    monkeypatch.setattr(qcorr.linalg, "_DSTEBZ", short_dstebz)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dstebz found 2 of 3 eigenvalues$"):
+        tridiagonal_form(a.copy()).top_eigenpairs(3)

@@ -23,6 +23,7 @@ from qcorr import (
     uniform_entangled,
     validate_density,
 )
+from qcorr.partitions import Decomposition
 from qcorr.report import analyze, parse_partition
 from helpers import (
     brute_index_of_correlation,
@@ -299,3 +300,11 @@ def test_partition_rejects_non_integer_qubits():
         Partition((0,), (1.0,))
     with pytest.raises(PartitionError):
         Partition.complement((1.5,), 3)
+
+
+def test_tradeoff_rejects_an_internal_drop_other_than_the_external_gain():
+    # equal totals, but internal sums 0.3 and 0.4 against externals 0.3 and 0.1
+    d1 = Decomposition(0.1, 0.2, 0.3, 0.6)
+    d2 = Decomposition(0.2, 0.2, 0.1, 0.6)
+    with pytest.raises(PreconditionError, match="^trade-off identity violated: internal drop "):
+        tradeoff_delta(d1, d2)

@@ -33,7 +33,13 @@ from helpers import (
     tilted_four_qubit,
 )
 from qcorr import PureState
-from qcorr.purification import MAXCORR_TOL, RANK_THRESHOLD, PurificationResult, top_eigenpairs
+from qcorr.purification import (
+    LEAD_CUTOFF,
+    MAXCORR_TOL,
+    RANK_THRESHOLD,
+    PurificationResult,
+    top_eigenpairs,
+)
 from qcorr.states import hermitian_spectrum
 
 LN2 = math.log(2)
@@ -520,3 +526,22 @@ def test_maxcorr_verdict_flips_at_its_tolerance(deficit, maximal):
     assert result.ancilla_qubits == 1
     assert np.allclose(result.purified.amplitudes, amps, rtol=0, atol=1e-15)
     assert is_maximally_correlated_purification(result) is maximal
+
+
+@pytest.mark.parametrize("rank", [2, 3], ids=["subset", "eigh"])  # 2r <= 4, 2r > 4
+@pytest.mark.parametrize("ratio, lead", [(0.5, 1), (2.0, 0)])
+def test_the_phase_pivot_moves_past_lead_cutoff(ratio, lead, rank):
+    # The top eigenvector's first entry is `ratio` x LEAD_CUTOFF of its
+    # largest, 0.8; the entries have distinct phases, so only the pivot, the
+    # first entry above the cutoff, comes out real positive.
+    top = np.array([ratio * LEAD_CUTOFF * 0.8j, 0.8 * np.exp(0.7j), 0.36, 0.48j])
+    rng = np.random.default_rng(113)
+    basis, _ = np.linalg.qr(np.column_stack([top, rng.standard_normal((4, 3))]))
+    values = np.array([0.6, 0.4, 0.0, 0.0]) if rank == 2 else np.array([0.5, 0.3, 0.2, 0.0])
+    rho = validate_density((basis * values) @ basis.conj().T, 2)
+    table = purify(rho).purified.amplitudes.reshape(4, -1)
+    pivot, other = table[lead, 0], table[1 - lead, 0]
+    assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * pivot.real
+    assert abs(other.imag) > 0.1 * abs(other)
+    assert table.tobytes() == reference_purification_table(rho.matrix).tobytes()
+

@@ -451,3 +451,9 @@ def test_bad_comma_token_position_is_its_offset_in_the_raw_text():
     with pytest.raises(SpecParseError) as err:
         parse_subset(" a, Q", 4)
     assert err.value.position == 4
+
+
+def test_analyze_of_no_partition_raises():
+    with pytest.raises(ValueError) as raised:
+        analyze(ghz(2), [])
+    assert str(raised.value) == "need at least one partition"

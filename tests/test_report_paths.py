@@ -1,8 +1,9 @@
 """The report is built from the library's decomposition path.
 
-The rows of `analyze`/`sweep` come from `decompose_rows` of all the
-partitions at once; the single-qubit entropies, each row's product flag and
-the total from one more `_cut_spectra` call. A `PureState` memoises the
+The rows of `analyze`/`sweep` come from `decompose_rows`' one
+`_cut_spectra` call over all the partitions, and the single-qubit
+entropies, each row's product flag and the total from the cut table that
+call returned (`correlation._decomposition`). A `PureState` memoises the
 Schmidt probabilities of each cut once, under the bit mask of its smaller
 side, and `_cut_spectra` fills that memo in one batched pass, so each cut
 is solved once. The engine trusts its subsets: each is checked where it
@@ -37,12 +38,18 @@ from qcorr import (
     bell_product,
     classify_region,
     decompose,
+    decompose_rows,
     enumerate_bipartitions,
     ghz,
     ghz_block_product,
+    index_of_correlation,
+    is_maximally_correlated_purification,
     is_product_across,
     parse_partition,
     permute_qubits,
+    purify,
+    reduced_operator,
+    subsystem_entropies,
     sweep,
     to_density,
     total_correlation,
@@ -50,7 +57,7 @@ from qcorr import (
     von_neumann_entropy,
 )
 from qcorr.correlation import REGION_TOL
-from qcorr.partitions import _product_flag
+from qcorr.partitions import PRODUCT_TOL, _product_flag
 from helpers import random_pure
 from test_entropy_engine import pure_states
 
@@ -140,31 +147,70 @@ def test_a_sweep_memoises_each_cut_once():
     assert len(state._cuts) == 32
 
 
-def test_a_sweep_enters_the_engine_twice(monkeypatch):
-    n = 8
-    state = PureState(n, random_pure(np.random.default_rng(75), n))
+def test_each_public_reader_enters_the_engine_once(monkeypatch):
+    # Each reader makes one `_cut_spectra` call, cold, on a pure state and on
+    # an operator wherever it takes one; the operator's product test measures
+    # its distance from rho_alpha (x) rho_beta and reads no spectrum.
+    n = 6
+    amps = random_pure(np.random.default_rng(75), n)
+    part = Partition((0, 2), (1, 3, 4, 5))
+    parts = [part, Partition((0,), (1, 2, 3, 4, 5))]
+    states = {
+        "pure": lambda: PureState(n, amps),
+        "operator": lambda: to_density(PureState(n, amps)),
+    }
+    readers = {
+        "von_neumann_entropy": lambda s: von_neumann_entropy(s, (1, 3)),
+        "subsystem_entropies": subsystem_entropies,
+        "total_correlation": total_correlation,
+        "decompose_rows": lambda s: decompose_rows(s, parts),
+        "decompose": lambda s: decompose(s, part),
+        "index_of_correlation": lambda s: index_of_correlation(s, part),
+        "araki_lieb_check": lambda s: araki_lieb_check(s, part),
+        "is_product_across": lambda s: is_product_across(s, part),
+    }
+    table = [
+        (name, kind, read, make) for name, read in readers.items() for kind, make in states.items()
+    ]
+    table += [
+        ("analyze", "pure", lambda s: analyze(s, parts), states["pure"]),
+        ("sweep", "pure", sweep, states["pure"]),
+        (
+            "is_maximally_correlated_purification",
+            "purification",
+            is_maximally_correlated_purification,
+            lambda: purify(reduced_operator(PureState(n, amps), (0, 1, 2))),
+        ),
+    ]
     calls = {"engine": 0, "engine checks": 0, "partition checks": 0}
+    engine = qcorr.correlation._cut_spectra
 
-    def counting(module, name, key):
-        real = getattr(module, name)
-
+    def counting(module, name, key, real):
         def wrapper(*args, **kwargs):
             calls[key] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper, raising=False)
 
+    # the report is patched too, so that an engine import there would count
     for module in (qcorr.correlation, qcorr.partitions, qcorr.report):
-        counting(module, "_cut_spectra", "engine")
-    counting(qcorr.correlation, "_check_subset", "engine checks")
-    counting(qcorr.states, "_check_subset", "partition checks")
-    m = len(sweep(state).entries)
-    assert m == 2 ** (n - 1) - 1
-    assert calls["engine"] <= 2, calls
-    # a sweep's cuts are valid as generated, and the engine trusts what it
-    # is handed: no subset is checked
-    assert calls["engine checks"] == 0
-    assert calls["partition checks"] == 0
+        counting(module, "_cut_spectra", "engine", engine)
+    counting(qcorr.correlation, "_check_subset", "engine checks", qcorr.correlation._check_subset)
+    counting(qcorr.states, "_check_subset", "partition checks", qcorr.states._check_subset)
+    entered = {}
+    for name, kind, read, make in table:
+        state = make()
+        calls.update(dict.fromkeys(calls, 0))
+        read(state)
+        entered[name, kind] = calls["engine"]
+    want = {key: 1 for key in entered}
+    want["is_product_across", "operator"] = 0
+    assert entered == want
+    # the sweep's own run: its cuts are valid as generated, and the engine
+    # trusts what it is handed, so no subset is checked
+    calls.update(dict.fromkeys(calls, 0))
+    assert len(sweep(PureState(n, amps)).entries) == 2 ** (n - 1) - 1
+    assert calls == {"engine": 1, "engine checks": 0, "partition checks": 0}
 
 
 def test_report_rejects_a_partition_of_another_size():
@@ -175,17 +221,17 @@ def test_report_rejects_a_partition_of_another_size():
 def test_report_flags_araki_lieb_from_real_checks(monkeypatch):
     assert sweep(ghz(4)).bounds.araki_lieb_ok is True
     checked = []
-    real = qcorr.report.decompose_rows
+    real = qcorr.report._decomposition
 
     def failing(state, parts):
-        rows = real(state, parts)
+        rows, cuts = real(state, parts)
         assert rows.araki_lieb_ok.all()
         checked.extend(parts)
         lower = rows.lower_slack.copy()
         lower[1] = -1.0  # the second partition's check fails
-        return dataclasses.replace(rows, lower_slack=lower)
+        return dataclasses.replace(rows, lower_slack=lower), cuts
 
-    monkeypatch.setattr(qcorr.report, "decompose_rows", failing)
+    monkeypatch.setattr(qcorr.report, "_decomposition", failing)
     report = sweep(ghz(4))
     assert len(checked) == len(report.entries) == 7
     assert report.bounds.araki_lieb_ok is False
@@ -226,6 +272,33 @@ def test_product_verdict_is_the_same_on_the_pure_and_dense_routes():
     assert is_product_across(state, part) is False
     assert is_product_across(to_density(state), part) is False
     assert is_product_across(to_density(state), part, tol=1.5e-9) is True
+
+
+def _near_product(rng, k, n, distance):
+    """u (x) v + e u' (x) v' on k + n qubits, u' and v' orthogonal to u and
+    v: Schmidt probabilities (1, e^2) / (1 + e^2), with e set so that
+    sqrt(2 tail) is `distance`."""
+    eps = distance / math.sqrt(2.0 - distance**2)  # 2 e^2 / (1 + e^2) = distance^2
+    (u, u2), (v, v2) = (
+        np.linalg.qr(np.column_stack([random_pure(rng, m), random_pure(rng, m)]))[0].T
+        for m in (k, n)
+    )
+    return PureState(k + n, (np.kron(u, v) + eps * np.kron(u2, v2)) / math.sqrt(1 + eps**2))
+
+
+@pytest.mark.parametrize("factor, product", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("k, n", [(1, 1), (2, 3)])
+def test_the_product_flag_flips_at_product_tol_on_every_route(k, n, factor, product):
+    # `is_product_across` holds within Frobenius distance PRODUCT_TOL of
+    # rho_alpha (x) rho_beta: for a pure state, a Schmidt tail up to 5e-19.
+    state = _near_product(np.random.default_rng(76 + k), k, n, factor * PRODUCT_TOL)
+    part = Partition(tuple(range(k)), tuple(range(k, k + n)))
+    probs = qcorr.correlation._cut_spectra(state, [part.alpha])[0][0]
+    tail = float(probs[1:].sum() / probs.sum())
+    assert math.isclose(math.sqrt(2.0 * tail), factor * PRODUCT_TOL, rel_tol=1e-6)
+    assert is_product_across(state, part) is product
+    assert is_product_across(to_density(state), part) is product
+    assert analyze(state, [part]).entries[0].product_across is product
 
 
 @settings(deadline=None, max_examples=30)
@@ -376,7 +449,8 @@ def test_region_labels_flip_past_region_tol_at_each_cap(alpha, monkeypatch):
 
     zeros = np.zeros(len(cases))
     rows = DecompositionRows(near(LN2), near(LN2), near(min(a, b) * LN2), zeros, zeros, zeros)
-    monkeypatch.setattr(qcorr.report, "decompose_rows", lambda state, parts: rows)
+    real = qcorr.report._decomposition
+    monkeypatch.setattr(qcorr.report, "_decomposition", lambda s, parts: (rows, real(s, parts)[1]))
     report = analyze(ghz(n), [part] * len(cases))
     for (edge, _, past), e in zip(cases, report.entries):
         want = tuple(Region)[edge - 1 + past]
@@ -396,8 +470,9 @@ def test_araki_lieb_verdict_flips_at_its_tolerance(side, slack, ok, monkeypatch)
     rows = DecompositionRows(zero, zero, zero, zero, **slacks)
     assert rows.araki_lieb_ok.tolist() == [ok]
     # the one-row check and the report's AND read the same rule
+    real = qcorr.report._decomposition
     monkeypatch.setattr(qcorr.correlation, "decompose_rows", lambda state, parts: rows)
-    monkeypatch.setattr(qcorr.report, "decompose_rows", lambda state, parts: rows)
+    monkeypatch.setattr(qcorr.report, "_decomposition", lambda s, parts: (rows, real(s, parts)[1]))
     part = parse_partition("ab|cd", 4)
     assert araki_lieb_check(ghz(4), part).ok is ok
     assert analyze(ghz(4), [part]).bounds.araki_lieb_ok is ok

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qcorr import (
+    DensityOperator,
     NotHermitianError,
     NotNormalizedError,
     NotPositiveError,
@@ -207,3 +208,32 @@ def test_pure_state_norm_tolerance_edge(scale, ok, sign):
     else:
         with pytest.raises(NotNormalizedError, match="squared norm"):
             PureState(3, amps)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PureState(0, [1.0]), "n_qubits must be >= 1, got 0"),
+        (lambda: PureState(2, [1.0, 0.0]), "amplitude vector must have length 4, got shape (2,)"),
+        (
+            lambda: PureState(1, [[1.0, 0.0]]),
+            "amplitude vector must have length 2, got shape (1, 2)",
+        ),
+        (lambda: PureState(1, [np.nan, 1.0]), "amplitudes must be finite"),
+        (lambda: PureState(1, [1.0, complex(0.0, np.inf)]), "amplitudes must be finite"),
+        (lambda: DensityOperator(0, [[1.0]]), "n_qubits must be >= 1, got 0"),
+        (lambda: DensityOperator(1, np.eye(4) / 4), "matrix must be 2x2, got shape (4, 4)"),
+        (lambda: DensityOperator(1, [0.5, 0.5]), "matrix must be 2x2, got shape (2,)"),
+        (lambda: DensityOperator(1, [[np.inf, 0], [0, 0.5]]), "matrix entries must be finite"),
+        # the constructors word their own parameters; `parse_state_spec`
+        # words a spec's count
+        (lambda: uniform_entangled(0), "n_per_side must be >= 1, got 0"),
+        (lambda: bell_product(0), "pairs must be >= 1, got 0"),
+        (lambda: ghz_block_product(1), "n_per_block must be >= 2, got 1"),
+    ],
+)
+def test_malformed_construction_raises_value_error_naming_the_fault(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
