@@ -51,7 +51,7 @@ MAX_STACK_AMPLITUDES = 1 << 16
 #: is solved again by SVD. Forming M M^dagger squares the condition number, so
 #: the Gram tail of an exact product is rounding noise of either sign, about
 #: 4e-16 (Golub & Van Loan, Matrix Computations), where the product flag
-#: (`partitions._product_flag`) needs a tail below 5e-19.
+#: (`partitions._product_flags`) needs a tail below 5e-19.
 GRAM_TAIL_FLOOR = 1e-12
 
 
@@ -147,11 +147,6 @@ def _entropies(probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     p = np.where(p > ENTROPY_EIG_FLOOR, p, 1.0)  # 1 ln 1 = 0
     return clamp_nonneg(-np.sum(p * np.log(p), axis=-1))
-
-
-def entropy_from_probs(p: np.ndarray) -> float:
-    """-sum p ln p over entries above the floor, clamped to >= 0."""
-    return float(_entropies(p))
 
 
 def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.ndarray:
@@ -256,7 +251,7 @@ def _cut_spectra(
                 kept = [q for q in range(n) if key >> q & 1]
                 values = hermitian_spectrum(partial_trace(state.matrix, n, kept))
                 values.setflags(write=False)
-            memo[key] = (values, entropy_from_probs(values))
+            memo[key] = (values, float(_entropies(values)))
     return [memo[key] for key in keys]
 
 

@@ -140,24 +140,19 @@ def _product_flags(spectra: Sequence[np.ndarray], tol: float = PRODUCT_TOL) -> n
     return flags
 
 
-def _product_flag(probs: np.ndarray, tol: float = PRODUCT_TOL) -> bool:
-    """`_product_flags` of one spectrum."""
-    return bool(_product_flags([probs], tol)[0])
-
-
 def is_product_across(
     state: PureState | DensityOperator, part: Partition, tol: float = PRODUCT_TOL
 ) -> bool:
     """True iff rho is within Frobenius distance tol of rho_alpha (x) rho_beta.
 
-    A pure state is decided by its Schmidt tail (`_product_flag`), which
+    A pure state is decided by its Schmidt tail (`_product_flags`), which
     gives that distance to first order, an operator by the distance itself,
     so both routes give one verdict. This detects exact product form across
     the cut only; it is not a general separability test.
     """
     part.check_size(state.n_qubits)
     if isinstance(state, PureState):
-        return _product_flag(_cut_spectra(state, [part.alpha])[0][0], tol)
+        return bool(_product_flags([_cut_spectra(state, [part.alpha])[0][0]], tol)[0])
     m, n = state.matrix, state.n_qubits
     a, b = part.alpha, part.beta
     rho_a = partial_trace(m, n, a).reshape((2,) * (2 * len(a)))

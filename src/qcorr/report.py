@@ -190,6 +190,15 @@ def save_state_file(state: PureState, path: str) -> None:
         fh.write("\n")
 
 
+def _qubit_index(token: str) -> int:
+    """The qubit index `token` spells in ASCII digits 0-9. Raises ValueError
+    for any other token, as int() does for one of more digits than it
+    converts."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_side(text: str, offset: int) -> tuple[int, ...]:
     """Qubits of one partition side or subset; `offset` is where `text`
     starts in the user's input, so errors point into that input."""
@@ -206,7 +215,7 @@ def _parse_side(text: str, offset: int) -> tuple[int, ...]:
                 qubits.append(letters.index(token))
             else:
                 try:
-                    qubits.append(int(token))
+                    qubits.append(_qubit_index(token))
                 except ValueError:
                     at = pos + len(raw) - len(raw.lstrip())
                     raise SpecParseError(f"bad qubit token {token!r}", at) from None
@@ -215,7 +224,7 @@ def _parse_side(text: str, offset: int) -> tuple[int, ...]:
     if all(ch in letters for ch in side):
         return tuple(letters.index(ch) for ch in side)
     try:
-        return (int(side),)
+        return (_qubit_index(side),)
     except ValueError:
         raise SpecParseError(f"bad partition side {side!r}", offset) from None
 

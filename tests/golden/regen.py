@@ -58,7 +58,7 @@ LAPACK = ("zhetrd", "dsterf", "dstebz", "zstein", "zunmtr")
 def read_commands() -> list[tuple[str, bool]]:
     """(command, stored as a hash) for each command line of `commands.txt`."""
     out = []
-    for line in COMMANDS.read_text().splitlines():
+    for line in COMMANDS.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             hashed = line.startswith(HASHED)

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and random-state generators.
+"""Shared test utilities: independent oracles, random-state generators,
+hypothesis strategies and the one spy on a solver or engine call.
 
 The brute-force reduction here deliberately shares no code with the library's
 partial trace: it walks every matrix entry and accumulates by explicit bit
@@ -8,6 +9,10 @@ arithmetic on basis indices (qubit 0 = most significant bit).
 import ctypes
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from qcorr import PureState
 
 
 def bit_of(index: int, qubit: int, n: int) -> int:
@@ -51,12 +56,6 @@ def bit_matrix(amps: np.ndarray, n: int, rows) -> np.ndarray:
     return m
 
 
-def brute_pure_reduced(amps: np.ndarray, n: int, keep) -> np.ndarray:
-    """Reduced matrix of a pure state over `keep`, as M M^dagger of `bit_matrix`."""
-    m = bit_matrix(amps, n, keep)
-    return m @ m.conj().T
-
-
 def svd_schmidt_probs(amps: np.ndarray, n: int, alpha) -> np.ndarray:
     """Squared singular values, descending, of the cut between alpha and the rest.
 
@@ -65,6 +64,13 @@ def svd_schmidt_probs(amps: np.ndarray, n: int, alpha) -> np.ndarray:
     """
     sv = np.linalg.svd(bit_matrix(amps, n, alpha), compute_uv=False)
     return sv * sv
+
+
+def probs_entropy(probs: np.ndarray) -> float:
+    """-sum p ln p over the probabilities above 1e-15, the eigenvalues
+    `entropy_oracle` keeps."""
+    p = probs[probs > 1e-15]
+    return float(-np.sum(p * np.log(p)))
 
 
 def entropy_oracle(m: np.ndarray) -> float:
@@ -84,6 +90,43 @@ def brute_index_of_correlation(m: np.ndarray, n: int, alpha, beta) -> float:
     sa = entropy_oracle(brute_reduced(m, n, list(alpha)))
     sb = entropy_oracle(brute_reduced(m, n, list(beta)))
     return sa + sb - entropy_oracle(m)
+
+
+@st.composite
+def pure_states(draw, min_qubits=1, max_qubits=4):
+    """Pure states from arbitrary real and imaginary parts, zeros included."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    re = np.array(draw(st.lists(parts, min_size=1 << n, max_size=1 << n)))
+    im = np.array(draw(st.lists(parts, min_size=1 << n, max_size=1 << n)))
+    amps = re + 1j * im
+    norm = float(np.linalg.norm(amps))
+    assume(norm > 1e-3)
+    return PureState(n, amps / norm)
+
+
+@st.composite
+def subsets(draw, n, min_size=0, max_size=None):
+    """A qubit subset of 0..n-1 in random (often unsorted) order."""
+    order = draw(st.permutations(range(n)))
+    size = draw(st.integers(min_size, n if max_size is None else max_size))
+    return tuple(order[:size])
+
+
+def spy(monkeypatch, owner, name, record=lambda *args, **kwargs: args, calls=None):
+    """Patch `owner.<name>` so that each call appends `record(*args,
+    **kwargs)` of its arguments (by default the positional ones) to `calls`,
+    a new list unless one is given, and then calls the original; return
+    `calls`."""
+    calls = [] if calls is None else calls
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 def random_pure(rng: np.random.Generator, n_qubits: int) -> np.ndarray:

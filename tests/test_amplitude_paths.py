@@ -35,7 +35,7 @@ from qcorr import (
     validate_density,
 )
 from qcorr.cli import main
-from qcorr.partitions import _product_flag
+from qcorr.partitions import _product_flags
 from helpers import brute_reduced, random_density, random_pure, svd_schmidt_probs
 
 LN2 = math.log(2)
@@ -67,7 +67,7 @@ def _all_cuts_agree(s: PureState) -> None:
     for part in enumerate_bipartitions(s.n_qubits):
         for alpha, beta in [(part.alpha, part.beta), (part.beta[::-1], part.alpha)]:
             probs = svd_schmidt_probs(s.amplitudes, s.n_qubits, alpha)
-            assert _product_flag(probs) == is_product_across(rho, Partition(alpha, beta))
+            assert _product_flags([probs])[0] == is_product_across(rho, Partition(alpha, beta))
 
 
 def test_product_flag_agrees_with_dense_check_on_named_states():
@@ -75,10 +75,9 @@ def test_product_flag_agrees_with_dense_check_on_named_states():
     _all_cuts_agree(ghz_block_product(3))
     # the block cut is the only product cut of two GHZ blocks
     s = ghz_block_product(3)
-    flags = [
-        _product_flag(svd_schmidt_probs(s.amplitudes, 6, p.alpha))
-        for p in enumerate_bipartitions(6)
-    ]
+    flags = _product_flags(
+        [svd_schmidt_probs(s.amplitudes, 6, p.alpha) for p in enumerate_bipartitions(6)]
+    )
     assert sum(flags) == 1
 
 

@@ -429,6 +429,135 @@ def test_any_state_file_exits_0_2_or_3_with_at_most_one_error_line(tmp_path_fact
         assert err.getvalue() == "" and out.getvalue().startswith("S(a) = ")
 
 
+#: The counts each named kind takes, up to 8 qubits, and its qubits at each:
+#: every state built is small enough to purify more than half of.
+_KINDS = {
+    "ghz": ([2, 3, 4, 5, 6, 7, 8], lambda count: count),
+    "ue": ([2, 4, 6, 8], lambda count: count),
+    "bellpairs": ([1, 2, 3, 4], lambda count: 2 * count),
+    "ghzblocks": ([2, 3, 4], lambda count: 2 * count),
+}
+
+#: Specs that name no state: counts a kind refuses, negative, huge, spaced
+#: and non-ASCII ones, a missing colon, an unknown kind and bad files.
+_BAD_SPECS = st.one_of(
+    st.sampled_from([*_KINDS, "bogus"]).flatmap(
+        lambda kind: st.sampled_from(
+            ["0", "1", "3", "13", "-1", "+4", " 4", "4 ", "4_0", "٤", "４", "", "x", "9" * 30]
+        ).map(lambda count: f"{kind}:{count}")
+    ),
+    st.sampled_from(["ghz4", "", "file:", "file:no-such-state.json"]),
+)
+
+
+def _refused(q: int) -> st.SearchStrategy[str]:
+    """Spellings of qubit q that int() reads, as q or as another number, or
+    does not read at all; the grammar refuses every one."""
+    digits = str(q)
+    arabic = "".join(chr(0x660 + int(d)) for d in digits)
+    fullwidth = "".join(chr(0xFF10 + int(d)) for d in digits)
+    return st.sampled_from([f"+{q}", f"0_{q}", arabic, fullwidth, "-1", "1 0", "²", "9" * 5000])
+
+
+@st.composite
+def _side(draw, qubits, refuse=False):
+    """Qubits spelled as comma-free letters or as indices with spaces; with
+    `refuse`, one index spelled as `_refused` gives."""
+    if not refuse and draw(st.booleans()):
+        return "".join("abcdefgh"[q] for q in qubits)
+    tokens = [str(q) for q in qubits]
+    if refuse:
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = draw(_refused(qubits[at]))
+    pad = st.sampled_from(["", "", " "])
+    return ",".join(draw(pad) + token + draw(pad) for token in tokens)
+
+
+@st.composite
+def _argv(draw):
+    """A command line from the spec, subset and partition grammar with every
+    option, mostly well formed, and whether it holds a refused qubit token."""
+    command = draw(st.sampled_from(["analyze", "sweep", "entropy", "purify"]))
+    if draw(st.integers(0, 4)):
+        kind = draw(st.sampled_from(sorted(_KINDS)))
+        counts, qubits = _KINDS[kind]
+        count = draw(st.sampled_from(counts))
+        spec, n = f"{kind}:{count}", qubits(count)
+    else:
+        spec, n = draw(_BAD_SPECS), 4
+    options, bad = [], False
+    if draw(st.integers(0, 19)):
+        options.append(["--state", spec])
+    if command == "analyze":
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 0]))):
+            refuse = draw(st.integers(0, 4)) == 0
+            order = draw(st.permutations(range(n)))
+            k = draw(st.integers(1, n - 1))
+            sides = [draw(_side(order[:k], refuse)), draw(_side(order[k:]))]
+            text = draw(st.sampled_from(["|".join(sides), "|".join(sides[::-1]), "ab|c"]))
+            if "," not in text and draw(st.booleans()):
+                text += ",ab|" + "cdefgh"[: n - 2]  # a list of two partitions
+            options.append(["--partition", text])
+            bad |= refuse and text != "ab|c"
+    if command in ("entropy", "purify") and draw(st.integers(0, 19)):
+        if draw(st.integers(0, 9)):
+            bad = draw(st.integers(0, 3)) == 0
+            order = draw(st.permutations(range(n)))
+            text = draw(_side(order[: draw(st.integers(1, n))], bad))
+        else:
+            text = draw(st.sampled_from(["", " ", "i", "a,,b", "ab,c", "aa", "8", "a|b", "0,0"]))
+        options.append(["--subset", text])
+    if command in ("analyze", "sweep") and draw(st.booleans()):
+        options.append(["--units", draw(st.sampled_from(["nats", "bits", "furlongs"]))])
+    if command == "sweep" and draw(st.booleans()):
+        size = st.one_of(st.integers(1, n - 1), st.sampled_from([-1, 0, n, 10**30]))
+        options.append(["--size-alpha", draw(size.map(str) | st.sampled_from(["x", " 2"]))])
+    if command != "entropy" and draw(st.booleans()):
+        options.append(["--json"])
+    if draw(st.integers(0, 3)) == 0:
+        cap = ["12", "8", "5", "1", "0", "-1", "x", "9" * 5000]
+        options.append(["--max-qubits", draw(st.sampled_from(cap))])
+    if draw(st.integers(0, 19)) == 0:  # an option the command does not take
+        own = {"analyze": "--partition", "sweep": "--size-alpha"}.get(command, "--subset")
+        foreign = ["--bogus", *{"--partition", "--size-alpha", "--subset"} - {own}]
+        options.append([draw(st.sampled_from(sorted(foreign))), "1"])
+    options = draw(st.permutations(options))
+    return [command, *(arg for option in options for arg in option)], bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_any_command_line_exits_0_2_or_3_with_one_error_line(drawn):
+    argv, bad = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if bad:
+        # a refused qubit token exits 2, unless the state is over its cap first
+        assert code == 2 or (code == 3 and "size cap" in err), err
+    if code == 0:
+        assert out and err == ""
+        if "--json" in argv:
+            doc = json.loads(out)
+            if argv[0] == "purify":
+                assert doc["n_qubits"] == doc["system_qubits"] + doc["ancilla_qubits"]
+                norm = sum(re * re + im * im for re, im in doc["amplitudes"])
+                assert abs(norm - 1.0) <= 1e-9
+            else:  # I = I_int(alpha) + I_int(beta) + I_ext on every row
+                for row in doc["partitions"]:
+                    parts = row["internal_alpha"] + row["internal_beta"] + row["external"]
+                    assert abs(parts - doc["total_nats"]) <= 1e-9, row
+        return
+    assert out == ""
+    assert err.count("error: ") == 1 and err.endswith("\n")
+    if err.startswith("usage: "):  # argparse's own: its usage text, then one error line
+        assert err.splitlines()[-1].startswith(("qcorr: error: ", f"qcorr {argv[0]}: error: "))
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_entry_freezes_the_heap_after_main_and_exits_with_its_code(monkeypatch):
     events = []
     monkeypatch.setattr(qcorr.cli, "main", lambda: events.append("main") or 3)

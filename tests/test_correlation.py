@@ -237,13 +237,13 @@ def test_against_brute_force_oracle():
 
 def test_clamped_zeros_are_positive():
     from qcorr import PureState
-    from qcorr.correlation import clamp_nonneg, entropy_from_probs
+    from qcorr.correlation import _entropies, clamp_nonneg
 
     for x in (-0.0, 0.0, -1e-17):
         assert math.copysign(1.0, clamp_nonneg(x)) == 1.0
     assert clamp_nonneg(0.25) == 0.25
     assert math.isnan(clamp_nonneg(float("nan")))
-    assert math.copysign(1.0, entropy_from_probs(np.array([1.0]))) == 1.0
+    assert math.copysign(1.0, _entropies(np.array([1.0]))) == 1.0
     basis = to_density(PureState(2, np.array([1, 0, 0, 0], dtype=complex)))
     assert math.copysign(1.0, total_correlation(basis)) == 1.0
     assert math.copysign(1.0, index_of_correlation(basis, Partition((0,), (1,)))) == 1.0

@@ -4,11 +4,11 @@ of the decomposition, `correlation.decompose_rows`.
 The engine takes Gram spectra at every cut, which are accurate for entropies
 but leave an exact product's tail at rounding noise; those cuts must be
 solved again by SVD before they reach the memo. These tests check every
-cut's entropy against the brute-force oracle in `helpers`, every product
-flag against the SVD route, both sides of `GRAM_TAIL_FLOOR`, and the rows
-against the one-row calls. A half cut of more than one stack is solved on a
-thread per CPU; those tests check its memo against one serial pass, bit for
-bit, and which threads run it.
+cut's entropy and product flag against the oracle in `helpers`, the SVD of
+the cut's amplitudes arranged by explicit bit arithmetic, both sides of
+`GRAM_TAIL_FLOOR`, and the rows against the one-row calls. A half cut of
+more than one stack is solved on a thread per CPU; those tests check its
+memo against one serial pass, bit for bit, and which threads run it.
 A pure state with real amplitudes is solved in float64; those tests check it
 against the same oracle and flags, and which dtype reaches the solvers.
 A pure state's solves run with OpenBLAS set to one thread; those tests check
@@ -58,16 +58,9 @@ from qcorr.correlation import (
     clamp_nonneg,
     decompose_rows,
 )
-from qcorr.partitions import _product_flag
+from qcorr.partitions import _product_flags
 from qcorr.states import _amplitude_matrices
-from helpers import (
-    brute_pure_reduced,
-    entropy_oracle,
-    random_density,
-    random_pure,
-    svd_schmidt_probs,
-)
-from test_report_paths import solved  # noqa: F401  (fixture)
+from helpers import probs_entropy, random_density, random_pure, spy, svd_schmidt_probs
 
 ORACLE_TOL = 1e-12
 
@@ -95,16 +88,17 @@ def _shuffled_product(rng, n, k, make=random_pure):
 
 
 def _check_every_cut(state):
-    """Engine entropies against the oracle and flags against the SVD route,
-    on both sides of every cut, all solved in one engine call."""
+    """Engine entropies and flags against the oracle's SVD probabilities
+    (`svd_schmidt_probs`), on both sides of every cut, all solved in one
+    engine call."""
     n, amps = state.n_qubits, state.amplitudes
     sides = [side for p in enumerate_bipartitions(n) for side in (p.alpha, p.beta[::-1])]
     cuts = _cut_spectra(state, sides)
-    for side, (probs, entropy) in zip(sides, cuts):
-        want = entropy_oracle(brute_pure_reduced(amps, n, side))
-        assert abs(entropy - want) <= ORACLE_TOL, side
-        reference = svd_schmidt_probs(amps, n, side)
-        assert _product_flag(probs) == _product_flag(reference), side
+    references = [svd_schmidt_probs(amps, n, side) for side in sides]
+    flags = _product_flags([probs for probs, _ in cuts])
+    assert flags.tolist() == _product_flags(references).tolist()
+    for side, (probs, entropy), reference in zip(sides, cuts, references):
+        assert abs(entropy - probs_entropy(reference)) <= ORACLE_TOL, side
         tail, reference_tail = float(np.sum(probs[1:])), float(np.sum(reference[1:]))
         assert tail >= 0.0, side
         if tail < GRAM_TAIL_FLOOR:
@@ -158,12 +152,7 @@ def solved_dtypes(monkeypatch):
     """The dtype of each array given to `svd` and to `eigvalsh`."""
     dtypes = []
     for name in ("svd", "eigvalsh"):
-
-        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            dtypes.append(np.asarray(a).dtype)
-            return _solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
+        spy(monkeypatch, np.linalg, name, lambda a, *_, **__: np.asarray(a).dtype, dtypes)
     return dtypes
 
 
@@ -332,14 +321,7 @@ def test_the_identity_check_flips_at_its_tolerance(call, raised, holds, monkeypa
 @pytest.fixture
 def solve_threads(monkeypatch):
     """The `threading.get_ident()` of each call to `np.linalg.eigvalsh`."""
-    idents = []
-
-    def recording(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
-        idents.append(threading.get_ident())
-        return _solve(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return idents
+    return spy(monkeypatch, np.linalg, "eigvalsh", lambda *_, **__: threading.get_ident())
 
 
 def _half_cut_memo(state):
@@ -390,13 +372,7 @@ def _orthonormal_pair(rng, k, make):
 
 def _solve_recording_svds(state, sides, monkeypatch):
     """`_cut_spectra(state, sides)`, and each stack it passed to `np.linalg.svd`."""
-    redone = []
-
-    def recording(a, *args, _svd=np.linalg.svd, **kwargs):
-        redone.append(np.array(a))
-        return _svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    redone = spy(monkeypatch, np.linalg, "svd", lambda a, *_, **__: np.array(a))
     cuts = _cut_spectra(state, sides)
     monkeypatch.undo()
     return cuts, redone
@@ -405,7 +381,7 @@ def _solve_recording_svds(state, sides, monkeypatch):
 def _check_tail_edge(state, sides, cuts, redone, at, t, others):
     """Only the cut `sides[at]`, whose Schmidt tail is t, may be solved again
     by SVD, from its own matrix; it and the cuts `others` must match the SVD
-    route and the oracle."""
+    route, in their probabilities, entropies and flags."""
     n, amps = state.n_qubits, state.amplitudes
     if t < GRAM_TAIL_FLOOR:
         assert len(redone) == 1 and len(redone[0]) == 1
@@ -417,8 +393,9 @@ def _check_tail_edge(state, sides, cuts, redone, at, t, others):
         side, (probs, entropy) = sides[i], cuts[i]
         reference = svd_schmidt_probs(amps, n, side)
         assert np.abs(probs - reference).max() <= 1e-14, side
-        assert abs(entropy - entropy_oracle(brute_pure_reduced(amps, n, side))) <= ORACLE_TOL, side
-        assert _product_flag(probs) == _product_flag(reference), side
+        assert abs(entropy - probs_entropy(reference)) <= ORACLE_TOL, side
+        flag, want = _product_flags([probs, reference])
+        assert flag == want, side
 
 
 # At the floor and away from it, on the serial half cut (6 qubits, one stack)
@@ -542,12 +519,7 @@ def test_levels_are_solved_largest_first(monkeypatch):
     # processes (ROADMAP).
     rows = []
     for name in ("svd", "eigvalsh"):
-
-        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            rows.append(np.shape(a)[-2])
-            return _solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
+        spy(monkeypatch, np.linalg, name, lambda a, *_, **__: np.shape(a)[-2], rows)
     sweep(PureState(6, random_pure(np.random.default_rng(650), 6)))
     assert rows == [8, 4, 2]
 
@@ -576,13 +548,7 @@ def fake_setter(monkeypatch):
 
 
 def test_each_solving_call_sets_one_blas_thread_and_restores_the_count(fake_setter, monkeypatch):
-    seen = []
-
-    def recording(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
-        seen.append(fake_setter.count)
-        return _solve(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    seen = spy(monkeypatch, np.linalg, "eigvalsh", lambda *_, **__: fake_setter.count)
     state = PureState(6, random_pure(np.random.default_rng(660), 6))
     _cut_spectra(state, [(0,), (0, 1)])
     _cut_spectra(state, [(2,), (0, 1, 2)])
@@ -664,13 +630,7 @@ def _blas_threads():
 
 @pytest.mark.skipif(_SET_BLAS_THREADS is None, reason="numpy's BLAS has no OpenBLAS setter")
 def test_the_real_count_is_restored_after_sweeps(monkeypatch):
-    seen = []
-
-    def recording(a, *args, _solve=np.linalg.eigvalsh, **kwargs):
-        seen.append(_blas_threads())
-        return _solve(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    seen = spy(monkeypatch, np.linalg, "eigvalsh", lambda *_, **__: _blas_threads())
     initial = _SET_BLAS_THREADS(2)
     try:
         sweep(PureState(12, random_pure(np.random.default_rng(664), 12)))

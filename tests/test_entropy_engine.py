@@ -11,13 +11,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr import (
     DensityOperator,
     Partition,
-    PureState,
     araki_lieb_check,
     decompose,
     ghz,
@@ -29,30 +28,9 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from helpers import brute_reduced, entropy_oracle, random_density
+from helpers import brute_reduced, entropy_oracle, pure_states, random_density, spy, subsets
 
 TOL = 1e-10
-
-
-@st.composite
-def pure_states(draw, min_qubits=1, max_qubits=4):
-    """Pure states from arbitrary real and imaginary parts, zeros included."""
-    n = draw(st.integers(min_qubits, max_qubits))
-    parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-    re = np.array(draw(st.lists(parts, min_size=1 << n, max_size=1 << n)))
-    im = np.array(draw(st.lists(parts, min_size=1 << n, max_size=1 << n)))
-    amps = re + 1j * im
-    norm = float(np.linalg.norm(amps))
-    assume(norm > 1e-3)
-    return PureState(n, amps / norm)
-
-
-@st.composite
-def subsets(draw, n, min_size=0, max_size=None):
-    """A qubit subset of 0..n-1 in random (often unsorted) order."""
-    order = draw(st.permutations(range(n)))
-    size = draw(st.integers(min_size, n if max_size is None else max_size))
-    return tuple(order[:size])
 
 
 @settings(deadline=None, max_examples=150)
@@ -111,14 +89,7 @@ def test_whole_register_in_any_order_is_the_total_entropy():
 def test_each_operator_is_diagonalised_once(monkeypatch):
     n = 6
     m = random_density(np.random.default_rng(61), n)
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    shapes = spy(monkeypatch, np.linalg, "eigvalsh", lambda a, *_, **__: a.shape)
     rho = validate_density(m, n)
     cut = Partition((4, 1), (0, 2, 3, 5))
     decompose(rho, cut)

@@ -4,7 +4,8 @@ The source is read with `ast`, not imported. No function body and no
 `if TYPE_CHECKING:` block imports a qcorr module; the only import left in a
 function body is the lazy stdlib `ThreadPoolExecutor` of the engine's pool;
 and the graph of every import between qcorr's modules, wherever it is
-written, has no cycle.
+written, has no cycle. No test module imports another: what tests share
+lives in `helpers.py` and `conftest.py`.
 """
 
 import ast
@@ -15,6 +16,7 @@ import qcorr
 
 SRC = Path(qcorr.__file__).resolve().parent
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+TESTS = Path(__file__).resolve().parent
 
 
 def _imported(node) -> list[str]:
@@ -67,3 +69,14 @@ def test_the_import_graph_has_no_cycle():
     assert "correlation" in graph["partitions"]
     order = list(TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert sorted(order) == sorted(TREES)
+
+
+def test_no_test_module_imports_another():
+    shared = {path.stem for path in TESTS.glob("test_*.py")} | {"conftest"}
+    found = {
+        (path.stem, module)
+        for path in sorted(TESTS.rglob("*.py"))
+        for module in _imported(ast.parse(path.read_text()))
+        if module in shared
+    }
+    assert found == set()

@@ -30,6 +30,7 @@ from helpers import (
     random_density,
     random_unitary,
     reference_purification_table,
+    spy,
     tilted_four_qubit,
 )
 from qcorr import PureState
@@ -373,17 +374,8 @@ def test_the_subset_solve_runs_exactly_when_2r_fits_the_dimension(hide, monkeypa
     elif LAPACK_MISSING:
         pytest.skip(f"numpy's LAPACK lacks {LAPACK_MISSING}")
     calls = []
-
-    def spy(name, solve):
-        def wrapped(*args):
-            calls.append(name)
-            return solve(*args)
-
-        return wrapped
-
-    solve = spy("subset", qcorr.linalg.TridiagonalForm.top_eigenpairs)
-    monkeypatch.setattr(qcorr.linalg.TridiagonalForm, "top_eigenpairs", solve)
-    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    spy(monkeypatch, qcorr.linalg.TridiagonalForm, "top_eigenpairs", lambda *_: "subset", calls)
+    spy(monkeypatch, np.linalg, "eigh", lambda *_: "eigh", calls)
     cases = [*ROUTE_CASES.values(), lambda: _random_of_rank(116, 10, 32)]
     for make in cases:
         rho = make()
@@ -394,26 +386,18 @@ def test_the_subset_solve_runs_exactly_when_2r_fits_the_dimension(hide, monkeypa
         assert calls == (["subset"] if subset else ["eigh"]), (rho.n_qubits, r)
 
 
-def _count_solves(monkeypatch) -> dict[str, int]:
-    """Counts, by name, each zhetrd reduction (its workspace query aside),
-    dsterf, `np.linalg.eigvalsh` and `np.linalg.eigh` call from here on."""
-    calls = dict.fromkeys(["zhetrd", "dsterf", "eigvalsh", "eigh"], 0)
-
-    def counted(name, solve):
-        def wrapped(*args):
-            # zhetrd's ninth argument is LWORK, -1 on the workspace query.
-            if name != "zhetrd" or args[8]._obj.value != -1:
-                calls[name] += 1
-            return solve(*args)
-
-        return wrapped
-
-    for name in ("zhetrd", "dsterf"):
-        attr = f"_{name.upper()}"
-        monkeypatch.setattr(qcorr.linalg, attr, counted(name, getattr(qcorr.linalg, attr)))
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+def _count_solves(monkeypatch) -> dict[str, list[bool]]:
+    """By name, whether each zhetrd, dsterf, `np.linalg.eigvalsh` and
+    `np.linalg.eigh` call from here on is a solve: all are but zhetrd's
+    workspace query, whose ninth argument, LWORK, is -1."""
+    calls = {"zhetrd": spy(monkeypatch, qcorr.linalg, "_ZHETRD", lambda *a: a[8]._obj.value != -1)}
+    for owner, name in [(qcorr.linalg, "_DSTERF"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
+        calls[name.strip("_").lower()] = spy(monkeypatch, owner, name, lambda *a: True)
     return calls
+
+
+def _counts(calls: dict[str, list[bool]]) -> dict[str, int]:
+    return {name: sum(seen) for name, seen in calls.items()}
 
 
 def _rank_32_matrix() -> np.ndarray:
@@ -431,17 +415,18 @@ def test_an_uncached_purify_reduces_its_operator_once(monkeypatch):
     calls = _count_solves(monkeypatch)
     rho = DensityOperator(10, m)
     result = purify(rho)
-    assert calls == {"zhetrd": 1, "dsterf": 1, "eigvalsh": 1, "eigh": 0}
+    assert _counts(calls) == {"zhetrd": 1, "dsterf": 1, "eigvalsh": 1, "eigh": 0}
     spectrum = rho.spectrum
-    assert calls == {"zhetrd": 1, "dsterf": 1, "eigvalsh": 1, "eigh": 0}
+    assert _counts(calls) == {"zhetrd": 1, "dsterf": 1, "eigvalsh": 1, "eigh": 0}
     assert not spectrum.flags.writeable
     assert spectrum.tobytes() == hermitian_spectrum(rho.matrix).tobytes()
     assert min_purifying_qubits(rho) == result.ancilla_qubits == 5
 
     rho = validate_density(m, 10)  # its spectrum's eigvalsh is cached
-    calls.update(dict.fromkeys(calls, 0))
+    for seen in calls.values():
+        seen.clear()
     assert purify(rho).purified.amplitudes.tobytes() == result.purified.amplitudes.tobytes()
-    assert calls == {"zhetrd": 1, "dsterf": 0, "eigvalsh": 1, "eigh": 0}
+    assert _counts(calls) == {"zhetrd": 1, "dsterf": 0, "eigvalsh": 1, "eigh": 0}
 
 
 def test_a_rank_zero_operator_raises(monkeypatch):
@@ -464,7 +449,7 @@ def test_an_operator_lapack_would_scale_takes_eigvalsh_and_eigh(monkeypatch):
     rho = DensityOperator(1, np.array([[0.5, 1e80], [1e80, 0.5]], dtype=complex))
     calls = _count_solves(monkeypatch)
     result = purify(rho)
-    assert calls == {"zhetrd": 0, "dsterf": 0, "eigvalsh": 2, "eigh": 1}
+    assert _counts(calls) == {"zhetrd": 0, "dsterf": 0, "eigvalsh": 2, "eigh": 1}
     assert result.ancilla_qubits == min_purifying_qubits(rho) == 0
     assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
 

@@ -233,7 +233,7 @@ def test_a_qubit_named_twice_or_out_of_range_gives_its_entry_position():
         ("ab|cd,aa|bc", 6, "alpha=(0, 0), beta=(1, 2)"),
         ("ab|cd, ac|ba", 7, "alpha=(0, 2), beta=(1, 0)"),
         ("ab|ce", 0, "alpha=(0, 1), beta=(2, 4)"),
-        ("0,1|2,-1", 0, "alpha=(0, 1), beta=(2, -1)"),
+        ("0,1|2,9", 0, "alpha=(0, 1), beta=(2, 9)"),
     ]
     for text, position, sides in cases:
         with pytest.raises(SpecParseError) as err:
@@ -443,6 +443,7 @@ def test_bad_comma_token_position_is_its_offset_in_the_raw_text():
         ("  a,X|b,c,d", 4, "X"),
         ("a,b|c,  X", 8, "X"),
         ("b, |a,c,d", 2, ""),
+        ("0,1|2,-1", 6, "-1"),
     ]
     for text, position, token in cases:
         with pytest.raises(SpecParseError, match=f"bad qubit token {token!r}") as err:
@@ -451,6 +452,29 @@ def test_bad_comma_token_position_is_its_offset_in_the_raw_text():
     with pytest.raises(SpecParseError) as err:
         parse_subset(" a, Q", 4)
     assert err.value.position == 4
+
+
+#: Qubit tokens int() reads but the grammar does not: a sign, an underscore,
+#: spaces inside, non-ASCII digits, and more digits than int() converts.
+REFUSED_QUBIT_TOKENS = ["+1", "-1", "1_0", "1 0", "\u0663", "\uff11", "\u00b2", "9" * 5000]
+
+
+@pytest.mark.parametrize("token", REFUSED_QUBIT_TOKENS, ids=range(len(REFUSED_QUBIT_TOKENS)))
+def test_qubit_indices_are_ascii_digits(token):
+    # a side of one index, then a token of a comma list, at its offset
+    for text, message, position in [
+        (token, f"bad partition side {token!r}", 0),
+        (f"0, {token}", f"bad qubit token {token!r}", 3),
+    ]:
+        with pytest.raises(SpecParseError) as err:
+            parse_subset(text, 12)
+        assert str(err.value) == f"{message} (at position {position})"
+    with pytest.raises(SpecParseError) as err:
+        parse_partition(f"0,1|2,{token}", 12)
+    assert str(err.value) == f"bad qubit token {token!r} (at position 6)"
+    # leading zeros and surrounding spaces stay part of the grammar
+    assert parse_subset(" 010 ", 12) == (10,)
+    assert parse_subset("0, 03 ", 12) == (0, 3)
 
 
 def test_analyze_of_no_partition_raises():

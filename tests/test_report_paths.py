@@ -57,31 +57,12 @@ from qcorr import (
     von_neumann_entropy,
 )
 from qcorr.correlation import REGION_TOL
-from qcorr.partitions import PRODUCT_TOL, _product_flag
-from helpers import random_pure
-from test_entropy_engine import pure_states
+from qcorr.partitions import PRODUCT_TOL
+from helpers import pure_states, random_pure, spy
 
 LN2 = math.log(2)
 TOL = 1e-10
 IDENTITY_TOL = 1e-8
-
-
-@pytest.fixture
-def solved(monkeypatch):
-    """The shape of each matrix given to `svd` and to `eigvalsh`, by solver.
-
-    A stacked call counts once per matrix in its stack.
-    """
-    shapes = {"svd": [], "eigvalsh": []}
-    for name, matrices in shapes.items():
-
-        def counting(a, *args, _solve=getattr(np.linalg, name), _seen=matrices, **kwargs):
-            shape = np.shape(a)
-            _seen.extend([shape[-2:]] * math.prod(shape[:-2]))
-            return _solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return shapes
 
 
 def test_sweep_solves_each_cut_once(solved):
@@ -182,35 +163,35 @@ def test_each_public_reader_enters_the_engine_once(monkeypatch):
             lambda: purify(reduced_operator(PureState(n, amps), (0, 1, 2))),
         ),
     ]
-    calls = {"engine": 0, "engine checks": 0, "partition checks": 0}
-    engine = qcorr.correlation._cut_spectra
-
-    def counting(module, name, key, real):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper, raising=False)
-
-    # the report is patched too, so that an engine import there would count
-    for module in (qcorr.correlation, qcorr.partitions, qcorr.report):
-        counting(module, "_cut_spectra", "engine", engine)
-    counting(qcorr.correlation, "_check_subset", "engine checks", qcorr.correlation._check_subset)
-    counting(qcorr.states, "_check_subset", "partition checks", qcorr.states._check_subset)
+    # the engine under each name a library module holds it by; the report
+    # holds it by none, so that it cannot enter it unseen
+    assert not hasattr(qcorr.report, "_cut_spectra")
+    engine = spy(monkeypatch, qcorr.correlation, "_cut_spectra")
+    spy(monkeypatch, qcorr.partitions, "_cut_spectra", calls=engine)
+    calls = {
+        "engine": engine,
+        "engine checks": spy(monkeypatch, qcorr.correlation, "_check_subset"),
+        "partition checks": spy(monkeypatch, qcorr.states, "_check_subset"),
+    }
     entered = {}
     for name, kind, read, make in table:
         state = make()
-        calls.update(dict.fromkeys(calls, 0))
+        engine.clear()
         read(state)
-        entered[name, kind] = calls["engine"]
+        entered[name, kind] = len(engine)
     want = {key: 1 for key in entered}
     want["is_product_across", "operator"] = 0
     assert entered == want
     # the sweep's own run: its cuts are valid as generated, and the engine
     # trusts what it is handed, so no subset is checked
-    calls.update(dict.fromkeys(calls, 0))
+    for seen in calls.values():
+        seen.clear()
     assert len(sweep(PureState(n, amps)).entries) == 2 ** (n - 1) - 1
-    assert calls == {"engine": 1, "engine checks": 0, "partition checks": 0}
+    assert {key: len(seen) for key, seen in calls.items()} == {
+        "engine": 1,
+        "engine checks": 0,
+        "partition checks": 0,
+    }
 
 
 def test_report_rejects_a_partition_of_another_size():
@@ -379,7 +360,7 @@ def test_array_rows_are_the_scalar_rules(kind, n, seed):
         assert e.region_internal_beta is classify_region(e.internal_beta, [LN2] * b)
         assert e.region_external is classify_region(e.external, [a * LN2, b * LN2])
         probs = qcorr.correlation._cut_spectra(state, [part.alpha])[0][0]
-        assert e.product_across is _product_flag(probs)
+        assert e.product_across is is_product_across(state, part)
         # the one-row rule as a scalar formula
         p = probs / float(probs.sum())
         assert e.product_across is (math.sqrt(2.0 * float(p[1:].sum())) <= 1e-9)
