@@ -28,6 +28,7 @@ from .report import (
     report_to_dict,
     sweep,
     _sig12,
+    _state_doc,
 )
 from .states import DEFAULT_MAX_QUBITS
 
@@ -123,10 +124,7 @@ def _cmd_purify(args) -> int:
             "ancilla_qubits": result.ancilla_qubits,
             "residual": _sig12(result.residual),
             "maximally_correlated": maximal,
-            "n_qubits": result.purified.n_qubits,
-            "amplitudes": [
-                [float(a.real), float(a.imag)] for a in result.purified.amplitudes
-            ],
+            **_state_doc(result.purified),
         }
         print(json.dumps(doc, indent=2))
     else:

@@ -10,6 +10,7 @@ bipartitions; `index_of_correlation` and `araki_lieb_check` read one row.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from contextlib import contextmanager, nullcontext
@@ -352,7 +353,18 @@ def max_total_correlation(n_qubits: int) -> float:
     """Global maximum n*ln2: pure total state, every qubit maximally mixed."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    return n_qubits * LN2
+    try:
+        return operator.index(n_qubits) * LN2
+    except TypeError:  # also NaN, which passes the comparison above
+        raise ValueError(f"n_qubits must be an integer, got {n_qubits}") from None
+
+
+def _check_finite(what: str, values: Iterable[float]) -> None:
+    """Raise ValueError naming the first of `values` that is NaN or infinite,
+    which the sign checks before it let through."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v}")
 
 
 def correlation_bounds(subsystem_entropies: Sequence[float]) -> BoundsReport:
@@ -363,6 +375,7 @@ def correlation_bounds(subsystem_entropies: Sequence[float]) -> BoundsReport:
     for v in values:
         if v < 0.0:
             raise ValueError(f"subsystem entropies must be >= 0, got {v}")
+    _check_finite("subsystem entropies", values)
     top = max(values)
     total = sum(values)
     return BoundsReport(
@@ -394,6 +407,8 @@ def classify_region(value: float, max_entropies: Sequence[float]) -> Region:
         raise ValueError("maximum entropies must be > 0")
     if value < 0.0:
         raise ValueError(f"correlation value must be >= 0, got {value}")
+    _check_finite("maximum entropies", caps)
+    _check_finite("correlation value", [value])
     return _regions(value, min(caps))
 
 

@@ -202,15 +202,16 @@ class TridiagonalForm:
         return values
 
     def top_eigenpairs(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """The r largest eigenpairs, as the last r of `np.linalg.eigh`:
-        values ascending, vectors as columns.
+        """The r largest eigenpairs, in no set order: values, and vectors as
+        columns.
 
         This is zheevr's route for RANGE='I' below full range: dstebz
         bisects T for eigenvalues dim-r+1..dim (ABSTOL 0, LAPACK's default
         of the machine epsilon times T's norm), zstein finds their vectors by
-        inverse iteration, zunmtr takes them back through Q, and zheevr's
-        selection sort orders the values split blocks left unsorted (LAPACK
-        Users' Guide, section 2.4.4). The pairs equal zheevr's bit for bit.
+        inverse iteration and zunmtr takes them back through Q. The pairs
+        come in dstebz's block order, which zheevr's selection sort would
+        make ascending (LAPACK Users' Guide, section 2.4.4); as a set they
+        equal zheevr's bit for bit.
         Raises LinAlgError when LAPACK reports an error or finds other than r
         eigenvalues.
         """
@@ -247,15 +248,7 @@ class TridiagonalForm:
             _i64(len(self._work)), ctypes.byref(info), 1, 1, 1,
         )
         _check("zunmtr", info)
-        values = values[:r]
-        # zheevr's selection sort: each value, with its vector, swaps with
-        # the first smallest after it when that one is smaller.
-        for j in range(r - 1):
-            i = j + 1 + int(np.argmin(values[j + 1 :]))
-            if values[i] < values[j]:
-                values[[i, j]] = values[[j, i]]
-                z[[i, j]] = z[[j, i]]
-        return values, np.conjugate(z, out=z).T
+        return values[:r], np.conjugate(z, out=z).T
 
 
 def tridiagonal_form(a: np.ndarray) -> TridiagonalForm | None:

@@ -16,10 +16,10 @@ import numpy as np
 from .correlation import (
     IDENTITY_TOL,
     LN2,
+    DecompositionRows,
     _cut_spectra,
+    _decomposition,
     decompose_rows,
-    subsystem_entropies,
-    von_neumann_entropy,
 )
 from .errors import PreconditionError
 from .linalg import partial_trace
@@ -48,7 +48,10 @@ def decompose(state: PureState | DensityOperator, part: Partition) -> Decomposit
     the total correlation within 1e-8. This is the one-row case of
     `decompose_rows`.
     """
-    rows = decompose_rows(state, [part])
+    return _first_row(decompose_rows(state, [part]))
+
+
+def _first_row(rows: DecompositionRows) -> Decomposition:
     return Decomposition(
         float(rows.internal_alpha[0]),
         float(rows.internal_beta[0]),
@@ -70,16 +73,18 @@ def pure_state_decomposition_identities(s: PureState, part: Partition) -> Decomp
         raise PreconditionError(
             f"sides must be the same size, got {len(part.alpha)} and {len(part.beta)}"
         )
-    for k, s_k in enumerate(subsystem_entropies(s)):
+    # one engine call: the cut table lists each qubit, then alpha
+    rows, cuts = _decomposition(s, [part])
+    for k, (_, s_k) in enumerate(cuts[: s.n_qubits]):
         if abs(s_k - LN2) > IDENTITY_TOL:
             raise PreconditionError(f"single-qubit entropy of qubit {k} is {s_k}, not ln 2")
-    result = decompose(s, part)
+    result = _first_row(rows)
     expected_total = 2 * n_side * LN2
     if abs(result.total - expected_total) > IDENTITY_TOL:
         raise PreconditionError(
             f"total correlation is {result.total}, not the maximum {expected_total}"
         )
-    s_alpha = von_neumann_entropy(s, part.alpha)
+    s_alpha = cuts[s.n_qubits][1]
     checks = [
         ("external = 2 S(alpha)", result.external, 2.0 * s_alpha),
         ("internal(alpha) = n ln2 - S(alpha)", result.internal_alpha, n_side * LN2 - s_alpha),

@@ -54,8 +54,8 @@ def min_purifying_qubits(rho: DensityOperator) -> int:
 
 
 def top_eigenpairs(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The r = `spectral_rank(rho)` largest eigenpairs of rho, as the last r
-    of `np.linalg.eigh`: values ascending, vectors as columns.
+    """The r = `spectral_rank(rho)` largest eigenpairs of rho, in no set
+    order: values, and vectors as columns; `purify` orders them.
 
     One LAPACK zhetrd reduces rho to tridiagonal form
     (`linalg.tridiagonal_form`). Where rho's spectrum is not cached yet, it

@@ -179,14 +179,16 @@ def load_state_file(path: str, max_qubits: int | None = None) -> PureState:
     return PureState(n, amps)
 
 
+def _state_doc(state: PureState) -> dict:
+    """The amplitude-file object of a state: n_qubits, then [re, im] pairs."""
+    pairs = state.amplitudes.view(np.float64).reshape(-1, 2).tolist()
+    return {"n_qubits": state.n_qubits, "amplitudes": pairs}
+
+
 def save_state_file(state: PureState, path: str) -> None:
     """Write the amplitude-file JSON for a state (round-trips bit-exactly)."""
-    doc = {
-        "n_qubits": state.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump(_state_doc(state), fh)
         fh.write("\n")
 
 

@@ -134,12 +134,24 @@ def random_pure(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def random_density(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
-    """Unit-trace PSD matrix from a Ginibre square."""
+def random_of_rank(rng: np.random.Generator | int, n_qubits: int, rank: int) -> np.ndarray:
+    """Unit-trace PSD matrix g g^dagger / tr of a Ginibre 2^n x rank factor g,
+    drawn from `rng`, or from a fresh generator seeded with it."""
+    rng = np.random.default_rng(rng)  # a Generator is returned as it is
     d = 2**n_qubits
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def random_density(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
+    """Unit-trace PSD matrix from a Ginibre square."""
+    return random_of_rank(rng, n_qubits, 2**n_qubits)
+
+
+def projector(n_qubits: int, rank: int) -> np.ndarray:
+    """The unit-trace projector onto basis states 0..rank-1, complex."""
+    return np.diag(np.arange(1 << n_qubits) < rank) / rank + 0j
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

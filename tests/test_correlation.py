@@ -256,6 +256,18 @@ def test_clamped_zeros_are_positive():
         (lambda: correlation_bounds([]), "need at least one subsystem entropy"),
         (lambda: classify_region(0.1, [0.0]), "maximum entropies must be > 0"),
         (lambda: classify_region(0.1, [LN2, -LN2]), "maximum entropies must be > 0"),
+        # NaN passes the sign checks, and infinities the lower ones
+        (lambda: max_total_correlation(2.5), "n_qubits must be an integer, got 2.5"),
+        (lambda: max_total_correlation(math.nan), "n_qubits must be an integer, got nan"),
+        (lambda: correlation_bounds([math.nan]), "subsystem entropies must be finite, got nan"),
+        (
+            lambda: correlation_bounds([math.inf, 0.1]),
+            "subsystem entropies must be finite, got inf",
+        ),
+        (lambda: classify_region(math.nan, [LN2]), "correlation value must be finite, got nan"),
+        (lambda: classify_region(math.inf, [LN2]), "correlation value must be finite, got inf"),
+        (lambda: classify_region(0.1, [math.inf]), "maximum entropies must be finite, got inf"),
+        (lambda: classify_region(0.1, [math.nan]), "maximum entropies must be finite, got nan"),
     ],
 )
 def test_empty_or_nonpositive_arguments_are_named(call, message):

@@ -21,7 +21,7 @@ from qcorr import (
 )
 from qcorr.linalg import tridiagonal_form
 from qcorr.purification import RANK_THRESHOLD
-from helpers import ZHEEVR, random_density, random_pure, zheevr_top
+from helpers import ZHEEVR, projector, random_density, random_of_rank, random_pure, zheevr_top
 
 #: Whether numpy's OpenBLAS has every routine of `linalg.tridiagonal_form`.
 TRIDIAGONAL = tridiagonal_form(np.eye(2, dtype=complex)) is not None
@@ -178,13 +178,9 @@ def _operator(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "random":
         return random_density(rng, n)
     if kind == "rank":
-        rank = int(rng.integers(1, dim + 1))
-        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        m = g @ g.conj().T
-        return m / np.trace(m).real
+        return random_of_rank(rng, n, int(rng.integers(1, dim + 1)))
     if kind == "eye":
-        rank = int(rng.integers(1, dim + 1))
-        return np.diag(np.arange(dim) < rank) / rank + 0j
+        return projector(n, int(rng.integers(1, dim + 1)))
     pairs = int(rng.integers((n + 1) // 2, 7))  # 12 qubits at most
     state = bell_product(pairs) if kind == "bellpairs" else uniform_entangled(pairs)
     keep = rng.permutation(2 * pairs)[:n]
@@ -206,17 +202,21 @@ def _operator(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 def test_one_reduction_gives_eigvalsh_and_zheevr_bit_for_bit(kind, n, seed):
     # One zhetrd feeds both: its dsterf spectrum must be np.linalg.eigvalsh's
     # (zheevd), and its top r pairs a zheevr RANGE='I' call's, at r the rank
-    # or half the dimension, whichever is smaller.
+    # or half the dimension, whichever is smaller. The pairs come unsorted,
+    # so they are compared as a set of (value, vector) bytes.
     m = _operator(kind, n, np.random.default_rng(seed))
     sym = (m + m.conj().T) / 2
     spectrum = np.linalg.eigvalsh(sym)
     r = max(1, min(int(np.count_nonzero(spectrum > RANK_THRESHOLD)), len(m) // 2))
-    want_values, want_vectors = zheevr_top(sym, r)
+    want = zheevr_top(sym, r)
     form = tridiagonal_form(sym.copy())
     assert form.eigenvalues().tobytes() == spectrum.tobytes()
-    values, vectors = form.top_eigenpairs(r)
-    assert values.tobytes() == want_values.tobytes()
-    assert vectors.tobytes() == want_vectors.tobytes()
+    got = form.top_eigenpairs(r)
+    pairs = [
+        sorted(values[i].tobytes() + vectors[:, i].tobytes() for i in range(len(values)))
+        for values, vectors in (got, want)
+    ]
+    assert len(got[0]) == r and pairs[0] == pairs[1]
 
 
 @pytest.mark.skipif(not TRIDIAGONAL, reason="numpy's LAPACK lacks a tridiagonal routine")

@@ -27,7 +27,9 @@ from qcorr import (
     von_neumann_entropy,
 )
 from helpers import (
+    projector,
     random_density,
+    random_of_rank,
     random_unitary,
     reference_purification_table,
     spy,
@@ -171,26 +173,19 @@ def test_maximally_correlated_flags():
     assert not is_maximally_correlated_purification(purify(red))
 
 
-def _random_of_rank(seed: int, n: int, rank: int) -> DensityOperator:
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((1 << n, rank)) + 1j * rng.standard_normal((1 << n, rank))
-    m = g @ g.conj().T
-    return validate_density(m / np.trace(m).real, n)
-
-
 @pytest.mark.parametrize(
     "make",
     [
         lambda: validate_density(np.eye(8) / 8, 3),
         lambda: reduced_operator(ghz(6), (0, 3)),
         lambda: reduced_operator(bell_product(4), (0, 2, 4)),
-        lambda: _random_of_rank(101, 2, 2),
-        lambda: _random_of_rank(102, 3, 5),
-        lambda: _random_of_rank(103, 5, 32),
-        lambda: _random_of_rank(104, 7, 100),
-        lambda: _random_of_rank(105, 8, 256),
-        lambda: _random_of_rank(106, 9, 3),
-        lambda: _random_of_rank(107, 10, 1024),
+        lambda: validate_density(random_of_rank(101, 2, 2), 2),
+        lambda: validate_density(random_of_rank(102, 3, 5), 3),
+        lambda: validate_density(random_of_rank(103, 5, 32), 5),
+        lambda: validate_density(random_of_rank(104, 7, 100), 7),
+        lambda: validate_density(random_of_rank(105, 8, 256), 8),
+        lambda: validate_density(random_of_rank(106, 9, 3), 9),
+        lambda: validate_density(random_of_rank(107, 10, 1024), 10),
     ],
     ids=[
         "eye8", "ghz6-tie", "bellpairs4", "n2r2", "n3r5", "n5full", "n7r100",
@@ -319,15 +314,11 @@ def test_purify_orders_separate_tie_groups_by_their_entries(monkeypatch):
         assert got.tobytes() == want.tobytes(), route
 
 
-def _projector(n: int, rank: int) -> DensityOperator:
-    return validate_density(np.diag(np.arange(1 << n) < rank) / rank + 0j, n)
-
-
 #: Operators of rank at most half their dimension, and above it: random,
 #: of exact rank, and with degenerate spectra.
 ROUTE_CASES = {
     "eye8": lambda: validate_density(np.eye(8) / 8, 3),
-    "eye-rank4-of16": lambda: _projector(4, 4),
+    "eye-rank4-of16": lambda: validate_density(projector(4, 4), 4),
     "ghz6-a": lambda: reduced_operator(ghz(6), (0,)),
     "ghz6-abcd": lambda: reduced_operator(ghz(6), (0, 1, 2, 3)),
     "bellpairs3-abc": lambda: reduced_operator(bell_product(3), (0, 1, 2)),
@@ -335,11 +326,11 @@ ROUTE_CASES = {
     "bellpairs3-ace": lambda: reduced_operator(bell_product(3), (0, 2, 4)),
     "ue3-abcd": lambda: reduced_operator(uniform_entangled(3), (0, 1, 2, 3)),
     "ue2-ab": lambda: reduced_operator(uniform_entangled(2), (0, 1)),
-    "n4r3": lambda: _random_of_rank(111, 4, 3),
-    "n6r32": lambda: _random_of_rank(112, 6, 32),
-    "n6r33": lambda: _random_of_rank(113, 6, 33),
-    "n7r100": lambda: _random_of_rank(114, 7, 100),
-    "n8r1": lambda: _random_of_rank(115, 8, 1),
+    "n4r3": lambda: validate_density(random_of_rank(111, 4, 3), 4),
+    "n6r32": lambda: validate_density(random_of_rank(112, 6, 32), 6),
+    "n6r33": lambda: validate_density(random_of_rank(113, 6, 33), 6),
+    "n7r100": lambda: validate_density(random_of_rank(114, 7, 100), 7),
+    "n8r1": lambda: validate_density(random_of_rank(115, 8, 1), 8),
 }
 
 
@@ -354,7 +345,8 @@ def test_the_subset_solve_and_eigh_purify_alike(make, monkeypatch):
             monkeypatch.setattr(qcorr.linalg, "_ZHETRD", None)
         values.append(top_eigenpairs(DensityOperator(n, rho.matrix))[0])
         results.append(purify(rho))
-    assert np.max(np.abs(values[0] - values[1])) <= 1e-14
+    # each route returns its pairs in its own order
+    assert np.max(np.abs(np.sort(values[0]) - np.sort(values[1]))) <= 1e-14
     subset, full = results
     assert subset.ancilla_qubits == full.ancilla_qubits
     flags = [is_maximally_correlated_purification(x) for x in results]
@@ -376,7 +368,7 @@ def test_the_subset_solve_runs_exactly_when_2r_fits_the_dimension(hide, monkeypa
     calls = []
     spy(monkeypatch, qcorr.linalg.TridiagonalForm, "top_eigenpairs", lambda *_: "subset", calls)
     spy(monkeypatch, np.linalg, "eigh", lambda *_: "eigh", calls)
-    cases = [*ROUTE_CASES.values(), lambda: _random_of_rank(116, 10, 32)]
+    cases = [*ROUTE_CASES.values(), lambda: validate_density(random_of_rank(116, 10, 32), 10)]
     for make in cases:
         rho = make()
         r = spectral_rank(rho)
@@ -400,18 +392,11 @@ def _counts(calls: dict[str, list[bool]]) -> dict[str, int]:
     return {name: sum(seen) for name, seen in calls.items()}
 
 
-def _rank_32_matrix() -> np.ndarray:
-    rng = np.random.default_rng(117)
-    g = rng.standard_normal((1024, 32)) + 1j * rng.standard_normal((1024, 32))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
 @pytest.mark.skipif(bool(LAPACK_MISSING), reason=f"numpy's LAPACK lacks {LAPACK_MISSING}")
 def test_an_uncached_purify_reduces_its_operator_once(monkeypatch):
     # The spectrum and the 32 pairs both come from one zhetrd; the one
     # eigvalsh left is the residual's.
-    m = _rank_32_matrix()
+    m = random_of_rank(117, 10, 32)
     calls = _count_solves(monkeypatch)
     rho = DensityOperator(10, m)
     result = purify(rho)

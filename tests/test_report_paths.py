@@ -47,6 +47,7 @@ from qcorr import (
     is_product_across,
     parse_partition,
     permute_qubits,
+    pure_state_decomposition_identities,
     purify,
     reduced_operator,
     subsystem_entropies,
@@ -161,6 +162,12 @@ def test_each_public_reader_enters_the_engine_once(monkeypatch):
             "purification",
             is_maximally_correlated_purification,
             lambda: purify(reduced_operator(PureState(n, amps), (0, 1, 2))),
+        ),
+        (
+            "pure_state_decomposition_identities",
+            "pure",
+            lambda s: pure_state_decomposition_identities(s, Partition((0, 1, 2), (3, 4, 5))),
+            lambda: uniform_entangled(3),
         ),
     ]
     # the engine under each name a library module holds it by; the report
