@@ -10,7 +10,6 @@ bipartitions; `index_of_correlation` and `araki_lieb_check` read one row.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from contextlib import contextmanager, nullcontext
@@ -20,20 +19,20 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import _SET_BLAS_THREADS, partial_trace
+from .lapack import _SET_BLAS_THREADS
+from .linalg import partial_trace
 from .states import (
+    ENTROPY_EIG_FLOOR,
     DensityOperator,
     Partition,
     PureState,
     _amplitude_matrices,
     _check_subset,
+    _qubit_count,
     hermitian_spectrum,
 )
 
 LN2 = math.log(2.0)
-
-#: Spectrum entries at or below this floor contribute nothing to entropy.
-ENTROPY_EIG_FLOOR = 1e-15
 
 #: Tolerance used when assigning region labels at the boundaries.
 REGION_TOL = 1e-9
@@ -195,6 +194,64 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     return np.concatenate(out)
 
 
+def _level_spectra(
+    amps: np.ndarray, n: int, sides: list[int]
+) -> list[tuple[list[int], np.ndarray]]:
+    """The Schmidt probabilities of the n-qubit amplitudes `amps` cut at each
+    of the nonempty side masks `sides` (bit q for qubit q), one size of side
+    at a time, largest first (`_level_probs`): per size, (its masks, one row
+    of descending probabilities per mask). Up to `MAX_STACK_AMPLITUDES`
+    amplitudes they run on one BLAS thread (`_one_blas_thread`), as
+    OpenBLAS's workers only spin beside such small solves.
+    """
+    levels: dict[int, list[int]] = {}
+    for side in sides:
+        levels.setdefault(side.bit_count(), []).append(side)
+    out = []
+    with _one_blas_thread() if levels and amps.size <= MAX_STACK_AMPLITUDES else nullcontext():
+        for _, level in sorted(levels.items(), reverse=True):
+            qubits = [tuple(q for q in range(n) if side >> q & 1) for side in level]
+            out.append((level, _level_probs(amps, n, qubits)))
+    return out
+
+
+def _purified_spectra(
+    factor: tuple[np.ndarray, np.ndarray], n: int, keys: list[int]
+) -> list[tuple[int, np.ndarray]]:
+    """(key, spectrum) of an n-qubit operator's reduction onto each nonempty
+    proper subset mask in `keys`, from its `factor`, its r largest
+    eigenpairs (l_i, e_i).
+
+    The spectral purification psi = sum_i sqrt(l_i) |e_i>|i>, with
+    a = ceil(log2 r) ancilla qubits after the system's, reduces to the
+    operator on the system, so its reduction onto A does too, and rho_A's
+    eigenvalues are the Schmidt probabilities of psi's cut
+    A | (rest, ancilla). Each cut is solved from its smaller side
+    (`_level_spectra`), so its Gram matrix has dimension at most
+    2^floor((n + a)/2). psi keeps the factor's norm, the trace of rho less
+    what it dropped, unrenormalised. Each spectrum comes ascending,
+    zero-padded to 2^|A|, as the dense route gives it.
+    """
+    values, vectors = factor
+    r = len(values)
+    ancillas = (r - 1).bit_length()
+    table = np.zeros((len(vectors), 1 << ancillas), dtype=np.complex128)
+    table[:, :r] = vectors * np.sqrt(values)
+    total = n + ancillas
+    mirror = (1 << total) - 1
+    side_of = {key: key if 2 * key.bit_count() <= total else key ^ mirror for key in keys}
+    sides = list(dict.fromkeys(side_of.values()))  # at rank 1, A and its complement share one
+    probs = {}
+    for level, rows in _level_spectra(table.reshape(-1), total, sides):
+        probs.update(zip(level, rows))
+    out = []
+    for key, side in side_of.items():
+        ascending = np.zeros(1 << key.bit_count())
+        ascending[len(ascending) - len(probs[side]) :] = probs[side][::-1]
+        out.append((key, ascending))
+    return out
+
+
 def _cut_spectra(
     state: PureState | DensityOperator, subsets: Iterable[Sequence[int]]
 ) -> list[tuple[np.ndarray, float]]:
@@ -202,19 +259,22 @@ def _cut_spectra(
 
     Callers hand it checked subsets of distinct qubits in range. The state
     memoises each reduction once in `_cuts` under a bit mask (bit q for qubit
-    q). An operator's key is the subset's own mask: the subset is traced in
-    ascending order, and the whole register reads the cached `spectrum`
-    (eigenvalues ascending). Both sides of a pure state's cut share their
-    Schmidt probabilities (descending), so its key is the mask of the smaller
-    side; at the half cut, of the side holding qubit 0; for the whole register,
-    0, with the one probability |psi|^2. The missing cuts are solved one size
-    of the smaller side at a time, largest first, by Gram spectra with an SVD
-    redo (`_level_probs`), so no memo entry holds a Gram tail below
-    `GRAM_TAIL_FLOOR`. Up to `MAX_STACK_AMPLITUDES` amplitudes (16 qubits) they
-    run on one BLAS thread (`_one_blas_thread`), as OpenBLAS's workers only
-    spin beside such small solves, while larger ones and an operator's keep its
-    threads. A pure state with no nonzero imaginary part is solved in float64,
-    every other one in complex128.
+    q). Both sides of a pure state's cut share their Schmidt probabilities
+    (descending), so its key is the mask of the smaller side; at the half
+    cut, of the side holding qubit 0; for the whole register, 0, with the
+    one probability |psi|^2. The missing cuts are solved by Gram spectra
+    with an SVD redo (`_level_spectra`), so no memo entry holds a Gram tail
+    below `GRAM_TAIL_FLOOR`. A pure state with no nonzero imaginary part is
+    solved in float64, every other one in complex128.
+
+    An operator's key is the subset's own mask, and its entry holds the
+    reduction's eigenvalues ascending. The whole register reads the cached
+    `spectrum`, and is read first: the operator's one reduction, which
+    gives the spectrum, also gives a low-rank operator its factor. With a
+    factor, every other nonempty subset is solved as a cut of the factor's
+    purification (`_purified_spectra`). Without one, a subset is traced in
+    ascending order (`partial_trace`) and solved by `eigvalsh` at dimension
+    2^|A|, on OpenBLAS's own threads.
     """
     n, memo = state.n_qubits, state._cuts
     pure = isinstance(state, PureState)
@@ -229,29 +289,30 @@ def _cut_spectra(
         keys.append(mask)
     missing = [key for key in dict.fromkeys(keys) if key not in memo]
     if pure:
-        levels: dict[int, list[int]] = {}
-        for key in missing:
-            levels.setdefault(key.bit_count(), []).append(key)
         amps = state.amplitudes
-        if levels and not amps.imag.any():
+        sides = [key for key in missing if key]
+        if sides and not amps.imag.any():
             amps = amps.real.copy()  # a real state is solved in float64
-        with _one_blas_thread() if levels and 1 << n <= MAX_STACK_AMPLITUDES else nullcontext():
-            for k, level in sorted(levels.items(), reverse=True):
-                if k == 0:
-                    probs = np.array([[float(np.vdot(state.amplitudes, state.amplitudes).real)]])
-                else:
-                    sides = [tuple(q for q in range(n) if key >> q & 1) for key in level]
-                    probs = _level_probs(amps, n, sides)
-                probs.setflags(write=False)
-                memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
+        solved = _level_spectra(amps, n, sides)
+        if 0 in missing:
+            norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
+            solved.append(([0], np.array([[norm2]])))
+        for level, probs in solved:
+            probs.setflags(write=False)
+            memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
     else:
+        found = []
+        if full in missing:
+            found.append((full, state.spectrum))
+            missing.remove(full)
+        if state._factor is not None:
+            found += _purified_spectra(state._factor, n, [key for key in missing if key])
+            missing = [key for key in missing if not key]
         for key in missing:
-            if key == full:
-                values = state.spectrum
-            else:
-                kept = [q for q in range(n) if key >> q & 1]
-                values = hermitian_spectrum(partial_trace(state.matrix, n, kept))
-                values.setflags(write=False)
+            kept = [q for q in range(n) if key >> q & 1]
+            found.append((key, hermitian_spectrum(partial_trace(state.matrix, n, kept))))
+        for key, values in found:
+            values.setflags(write=False)
             memo[key] = (values, float(_entropies(values)))
     return [memo[key] for key in keys]
 
@@ -263,8 +324,10 @@ def von_neumann_entropy(
 
     -Tr(rho ln rho) in nats, with 0 ln 0 = 0 and the result clamped to >= 0,
     from the memoised engine (`_cut_spectra`). A pure state is reduced
-    through its Schmidt probabilities and never densified, an operator by
-    partial trace. Raises IndexError unless `subset` holds distinct qubits
+    through its Schmidt probabilities and never densified, an operator
+    through its factor's purification once its spectrum is read and shows
+    it low-rank, and by partial trace otherwise. Raises IndexError unless
+    `subset` holds distinct qubits
     in range. Up to 16 qubits, and in a half cut's thread pool, a pure state is
     solved on one OpenBLAS thread, which numpy's OpenBLAS sets for every thread.
     """
@@ -350,13 +413,10 @@ def index_of_correlation(state: PureState | DensityOperator, part: Partition) ->
 
 
 def max_total_correlation(n_qubits: int) -> float:
-    """Global maximum n*ln2: pure total state, every qubit maximally mixed."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    try:
-        return operator.index(n_qubits) * LN2
-    except TypeError:  # also NaN, which passes the comparison above
-        raise ValueError(f"n_qubits must be an integer, got {n_qubits}") from None
+    """Global maximum n*ln2: pure total state, every qubit maximally mixed.
+    An `n_qubits` that is not an integer >= 1, a bool included, raises
+    ValueError naming it."""
+    return _qubit_count(n_qubits) * LN2
 
 
 def _check_finite(what: str, values: Iterable[float]) -> None:
@@ -399,13 +459,18 @@ def classify_region(value: float, max_entropies: Sequence[float]) -> Region:
     Classical for value <= inf(caps), Quantum up to 2*inf(caps),
     Unattainable beyond, each boundary widened by `REGION_TOL`; the lower
     region is closed, so a value exactly at inf classifies as Classical.
+    A value that does not compare with a number raises TypeError naming it.
     """
     caps = [float(v) for v in max_entropies]
     if not caps:
         raise ValueError("need at least one maximum entropy")
     if any(v <= 0.0 for v in caps):
         raise ValueError("maximum entropies must be > 0")
-    if value < 0.0:
+    try:
+        negative = value < 0.0
+    except TypeError:
+        raise TypeError(f"correlation value must be a number, got {value!r}") from None
+    if negative:
         raise ValueError(f"correlation value must be >= 0, got {value}")
     _check_finite("maximum entropies", caps)
     _check_finite("correlation value", [value])

@@ -153,8 +153,11 @@ def is_product_across(
     A pure state is decided by its Schmidt tail (`_product_flags`), which
     gives that distance to first order, an operator by the distance itself,
     so both routes give one verdict. This detects exact product form across
-    the cut only; it is not a general separability test.
+    the cut only; it is not a general separability test. A `tol` that is
+    NaN or negative raises ValueError naming it.
     """
+    if not tol >= 0.0:  # also NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
     part.check_size(state.n_qubits)
     if isinstance(state, PureState):
         return bool(_product_flags([_cut_spectra(state, [part.alpha])[0][0]], tol)[0])

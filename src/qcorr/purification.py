@@ -13,11 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import LN2, total_correlation
-from .linalg import tridiagonal_form
-from .states import DensityOperator, PureState, _symmetrize, hermitian_spectrum
-
-#: Eigenvalues at or below this threshold are treated as numerical noise.
-RANK_THRESHOLD = 1e-10
+from .lapack import tridiagonal_form
+from .states import RANK_THRESHOLD, DensityOperator, PureState, _symmetrize, hermitian_spectrum
 
 #: An eigenvector's leading component, whose phase `purify` fixes real
 #: positive, is its first above this fraction of its largest magnitude.
@@ -57,28 +54,30 @@ def top_eigenpairs(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     """The r = `spectral_rank(rho)` largest eigenpairs of rho, in no set
     order: values, and vectors as columns; `purify` orders them.
 
-    One LAPACK zhetrd reduces rho to tridiagonal form
-    (`linalg.tridiagonal_form`). Where rho's spectrum is not cached yet, it
-    is read from that reduction, bit for bit `np.linalg.eigvalsh`'s, and
-    cached read-only; r is then counted from it. When 2r <= 2^n the r pairs
-    are read from the same reduction, by bisection and inverse iteration.
-    Above that `np.linalg.eigh` solves for all of them: it is the faster
-    there, and for r = 2^n zheevr, whose route the subset solve follows,
-    would switch to MRRR, whose vectors were orthogonal to 1e-12 against
-    eigh's 3e-15. A cached spectrum with 2r > 2^n needs no reduction, and
-    where numpy's BLAS lacks a routine or rho's entries lie outside LAPACK's
-    unscaled range, the spectrum's `eigvalsh` and `eigh` are the route.
+    Every pair comes from one LAPACK zhetrd reduction of rho to tridiagonal
+    form (`lapack.tridiagonal_form`). An operator whose spectrum is not
+    cached yet is reduced now (`DensityOperator._reduce`), which caches the
+    spectrum, bit for bit `np.linalg.eigvalsh`'s, and, for a low-rank
+    operator, its factor: these r pairs. A factor, made now or by an
+    earlier reduction such as `validate_density`'s, is returned as it is,
+    read-only. Otherwise, when 2r <= 2^n, the r pairs are read from the
+    reduction, by bisection and inverse iteration: the one just made, or a
+    new one where the spectrum was cached. Above that `np.linalg.eigh`
+    solves for all of them: it is the faster there, and for r = 2^n zheevr,
+    whose route the subset solve follows, would switch to MRRR, whose
+    vectors were orthogonal to 1e-12 against eigh's 3e-15. A cached
+    spectrum with 2r > 2^n needs no reduction, and where numpy's BLAS lacks
+    a routine or rho's entries lie outside LAPACK's unscaled range, the
+    spectrum's `eigvalsh` and `eigh` are the route.
     """
     dim = rho.dim
     cached = "spectrum" in vars(rho)
-    form = None
-    if not cached or 2 * spectral_rank(rho) <= dim:
-        form = tridiagonal_form(_symmetrize(rho.matrix))
-    if form is not None and not cached:  # fill the cached property from the reduction
-        values = form.eigenvalues()
-        values.setflags(write=False)
-        vars(rho)["spectrum"] = values
+    form = None if cached else rho._reduce()
+    if rho._factor is not None:
+        return rho._factor
     r = spectral_rank(rho)
+    if cached and 2 * r <= dim:
+        form = tridiagonal_form(_symmetrize(rho.matrix))
     if form is not None and 2 * r <= dim:
         return form.top_eigenpairs(r)
     del form  # zhetrd overwrote its copy of the matrix; free it before eigh's copies
@@ -101,7 +100,10 @@ def purify(rho: DensityOperator) -> PurificationResult:
 
     The rank r is `spectral_rank(rho)`, so `purify` and
     `min_purifying_qubits` always agree, and only the r largest eigenpairs
-    are solved for (`top_eigenpairs`).
+    are solved for (`top_eigenpairs`). A low-rank operator's pairs are its
+    cached factor, read from the same reduction that gave its spectrum, so
+    `purify` after `validate_density` reduces the operator no further and
+    gives the same amplitudes, bit for bit, as `purify` of a fresh operator.
     """
     n = rho.n_qubits
     values, vectors = top_eigenpairs(rho)

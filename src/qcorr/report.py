@@ -291,7 +291,10 @@ def parse_partition_list(text: str, n_qubits: int) -> list[Partition]:
 
 
 def parse_subset(text: str, n_qubits: int) -> tuple[int, ...]:
-    """Parse a qubit subset like 'ab' or '0,2'; must be nonempty and in range."""
+    """Parse a qubit subset like 'ab' or '0,2'; must be nonempty and in range.
+    A `text` that is not a str raises TypeError naming it."""
+    if not isinstance(text, str):
+        raise TypeError(f"subset text must be a str, got {text!r}")
     if not text.strip():
         raise SpecParseError("empty subset", 0)
     try:

@@ -24,6 +24,7 @@ from .errors import (
     SizeCapError,
     TraceError,
 )
+from .lapack import TridiagonalForm, tridiagonal_form
 
 #: Default dense-size cap; 12 qubits means 4096-dimensional matrices.
 DEFAULT_MAX_QUBITS = 12
@@ -33,6 +34,15 @@ NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
+
+#: Eigenvalues at or below this threshold are treated as numerical noise.
+RANK_THRESHOLD = 1e-10
+
+#: Spectrum entries at or below this floor contribute nothing to entropy.
+ENTROPY_EIG_FLOOR = 1e-15
+
+#: No numpy axis holds 2**63 entries, so no state has more qubits than this.
+MAX_ARRAY_QUBITS = 62
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -46,7 +56,9 @@ class PureState:
     memo holds one (probabilities, entropy) entry per cut, keyed by the bit
     mask of the cut's smaller side; a subset is checked where it enters the
     library, not in the engine. A squared norm off 1 by more than
-    `NORM_TOL`, or NaN from overflow, raises NotNormalizedError.
+    `NORM_TOL`, or NaN from overflow, raises NotNormalizedError; an
+    `n_qubits` that is not an integer >= 1, a bool included, raises
+    ValueError naming it.
     """
 
     n_qubits: int
@@ -56,10 +68,9 @@ class PureState:
     )
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        n = _qubit_count(self.n_qubits, MAX_ARRAY_QUBITS)
         amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
-        dim = 1 << self.n_qubits
+        dim = 1 << n
         if amps.shape != (dim,):
             raise ValueError(f"amplitude vector must have length {dim}, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
@@ -68,6 +79,7 @@ class PureState:
         if not abs(nrm2 - 1.0) <= NORM_TOL:  # also a NaN from overflow
             raise NotNormalizedError(f"squared norm is {nrm2!r}, outside 1 +/- {NORM_TOL}")
         amps.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -81,12 +93,19 @@ class DensityOperator:
 
     Construction checks Hermiticity and trace (cheap, entrywise); positivity
     of the spectrum is only verified by `validate_density`, which is the
-    entry point for untrusted matrices. The spectrum is cached on first use,
-    and `correlation._cut_spectra` memoises each subset's reduced spectrum
-    and entropy in `_cuts`, keyed by the bit mask of the subset. Both caches
-    read the matrix once, so `matrix` is set read-only. A C-contiguous
-    complex128 array is kept without a copy, so the caller's array becomes
-    read-only too: a write to it raises instead of leaving the caches stale.
+    entry point for untrusted matrices. On first use of `spectrum` the
+    matrix is reduced to tridiagonal form once (`_reduce`). The spectrum is
+    read from that reduction and cached, and so is `_factor` for a low-rank
+    operator (`_low_rank`): its r largest eigenpairs, the spectral
+    purification sum_i sqrt(l_i) |e_i>|i> whose cuts give every reduction's
+    spectrum (`correlation._cut_spectra`) and whose pairs `purify` orders.
+    The form itself is then freed. `correlation._cut_spectra` memoises each
+    subset's reduced spectrum and entropy in `_cuts`, keyed by the bit mask
+    of the subset. The caches read the matrix once, so `matrix` is set
+    read-only. A C-contiguous complex128 array is kept without a copy, so
+    the caller's array becomes read-only too: a write to it raises instead
+    of leaving the caches stale. An `n_qubits` that is not an integer >= 1,
+    a bool included, raises ValueError naming it.
     """
 
     n_qubits: int
@@ -94,12 +113,14 @@ class DensityOperator:
     _cuts: dict[int, tuple[np.ndarray, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _factor: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        n = _qubit_count(self.n_qubits, MAX_ARRAY_QUBITS)
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        dim = 1 << self.n_qubits
+        dim = 1 << n
         if m.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim}, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):
@@ -115,6 +136,7 @@ class DensityOperator:
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceError(f"trace is {tr!r}, outside 1 +/- {TRACE_TOL}")
         m.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -123,10 +145,57 @@ class DensityOperator:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, ascending; computed on first use and kept read-only."""
-        values = hermitian_spectrum(self.matrix)
+        """Eigenvalues, ascending and read-only, from the one reduction
+        (`_reduce`) made on first use."""
+        self._reduce()
+        return vars(self)["spectrum"]
+
+    def _reduce(self) -> TridiagonalForm | None:
+        """Reduce the matrix to tridiagonal form (`lapack.tridiagonal_form`)
+        and fill the caches from it: `spectrum`, by dsterf, bit for bit
+        `np.linalg.eigvalsh`'s, and for a low-rank operator (`_low_rank`)
+        `_factor`, its r = rank largest eigenpairs, by bisection and inverse
+        iteration. Returns the form, for a caller that wants more pairs of
+        it; where `tridiagonal_form` declines, None, with the spectrum from
+        `eigvalsh` and no factor.
+        """
+        sym = _symmetrize(self.matrix)
+        form = tridiagonal_form(sym)
+        values = np.linalg.eigvalsh(sym) if form is None else form.eigenvalues()
         values.setflags(write=False)
-        return values
+        vars(self)["spectrum"] = values
+        rank = int(np.count_nonzero(values > RANK_THRESHOLD))
+        if form is not None and _low_rank(values, rank, self.n_qubits):
+            pairs = form.top_eigenpairs(rank)
+            for array in pairs:
+                array.setflags(write=False)
+            object.__setattr__(self, "_factor", pairs)
+        return form
+
+
+def _low_rank(values: np.ndarray, rank: int, n_qubits: int) -> bool:
+    """Whether an operator of n qubits, ascending spectrum `values` and
+    `rank` eigenvalues above `RANK_THRESHOLD` keeps a factor: 1 <= rank <=
+    2^floor(n/2), and every other eigenvalue within `ENTROPY_EIG_FLOOR` of
+    0, so the rank largest pairs carry every eigenvalue an entropy counts."""
+    rest = values[: len(values) - rank]
+    return 1 <= rank <= 1 << (n_qubits // 2) and not np.any(np.abs(rest) > ENTROPY_EIG_FLOOR)
+
+
+def _qubit_count(n_qubits, most: int | None = None) -> int:
+    """`n_qubits` as an int, checked to be an integer (not a bool) from 1 to
+    `most`; anything else raises ValueError naming it."""
+    try:
+        if isinstance(n_qubits, bool):
+            raise TypeError
+        n = operator.index(n_qubits)
+    except TypeError:  # also a float, NaN included
+        raise ValueError(f"n_qubits must be an integer, got {n_qubits}") from None
+    if n < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n}")
+    if most is not None and n > most:
+        raise ValueError(f"n_qubits must be <= {most}, got {n}")
+    return n
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -311,8 +380,10 @@ def validate_density(m: np.ndarray, n_qubits: int) -> DensityOperator:
 
     Raises NotHermitianError, TraceError, or NotPositiveError naming the
     violated invariant. Eigenvalues in [-POSITIVITY_TOL, 0) are tolerated;
-    entropy routines clamp them to zero downstream. The returned operator
-    keeps the spectrum this check computed, so entropies reuse it.
+    entropy routines clamp them to zero downstream. The spectrum this check
+    reads comes from the operator's one reduction (`DensityOperator._reduce`),
+    which also leaves a low-rank operator its factor; the returned operator
+    keeps both, so its entropies and `purify` reduce it no further.
     """
     op = DensityOperator(n_qubits, m)
     min_eig = float(op.spectrum[0])

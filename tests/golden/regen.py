@@ -32,7 +32,7 @@ from unittest import mock
 
 import numpy as np
 
-from qcorr import cli, linalg
+from qcorr import cli, lapack
 
 HERE = Path(__file__).resolve().parent
 COMMANDS = HERE / "commands.txt"
@@ -51,7 +51,7 @@ STATES = {
 
 HASHED = "[sha256] "
 
-#: The LAPACK routines qcorr looks up in numpy's OpenBLAS (`qcorr.linalg`).
+#: The LAPACK routines qcorr looks up in numpy's OpenBLAS (`qcorr.lapack`).
 LAPACK = ("zhetrd", "dsterf", "dstebz", "zstein", "zunmtr")
 
 
@@ -112,13 +112,13 @@ def build() -> dict:
     """What the outputs' last bits depend on: numpy's version, the
     configuration of its OpenBLAS (version and the CPU kernels it chose) and
     the LAPACK routines qcorr found there."""
-    config = getattr(linalg._OPENBLAS, "scipy_openblas_get_config64_", None)
+    config = getattr(lapack._OPENBLAS, "scipy_openblas_get_config64_", None)
     if config is not None:
         config.restype = ctypes.c_char_p
     return {
         "numpy": np.__version__,
         "openblas": config().decode() if config is not None else None,
-        "lapack": [name for name in LAPACK if getattr(linalg, f"_{name.upper()}") is not None],
+        "lapack": [name for name in LAPACK if getattr(lapack, f"_{name.upper()}") is not None],
     }
 
 

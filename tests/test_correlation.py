@@ -259,6 +259,7 @@ def test_clamped_zeros_are_positive():
         # NaN passes the sign checks, and infinities the lower ones
         (lambda: max_total_correlation(2.5), "n_qubits must be an integer, got 2.5"),
         (lambda: max_total_correlation(math.nan), "n_qubits must be an integer, got nan"),
+        (lambda: max_total_correlation(True), "n_qubits must be an integer, got True"),
         (lambda: correlation_bounds([math.nan]), "subsystem entropies must be finite, got nan"),
         (
             lambda: correlation_bounds([math.inf, 0.1]),
@@ -274,3 +275,8 @@ def test_empty_or_nonpositive_arguments_are_named(call, message):
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == message
+
+
+def test_a_correlation_value_that_is_no_number_is_named():
+    with pytest.raises(TypeError, match="^correlation value must be a number, got '0.1'$"):
+        classify_region("0.1", [LN2])

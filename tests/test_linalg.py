@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qcorr.linalg
+import qcorr.lapack
 from qcorr import (
     PureState,
     SizeCapError,
@@ -19,7 +19,7 @@ from qcorr import (
     uniform_entangled,
     validate_density,
 )
-from qcorr.linalg import tridiagonal_form
+from qcorr.lapack import tridiagonal_form
 from qcorr.purification import RANK_THRESHOLD
 from helpers import ZHEEVR, projector, random_density, random_of_rank, random_pure, zheevr_top
 
@@ -250,15 +250,15 @@ def test_a_lapack_error_or_short_count_raises_linalg_error(monkeypatch):
     def failing_dsterf(n, d, e, info):
         info._obj.value = 2
 
-    monkeypatch.setattr(qcorr.linalg, "_DSTERF", failing_dsterf)
+    monkeypatch.setattr(qcorr.lapack, "_DSTERF", failing_dsterf)
     with pytest.raises(np.linalg.LinAlgError, match=r"^dsterf returned info 2$"):
         tridiagonal_form(a.copy()).eigenvalues()
-    real_dstebz = qcorr.linalg._DSTEBZ
+    real_dstebz = qcorr.lapack._DSTEBZ
 
     def short_dstebz(*args):
         real_dstebz(*args)
         args[10]._obj.value -= 1  # M, the count found
 
-    monkeypatch.setattr(qcorr.linalg, "_DSTEBZ", short_dstebz)
+    monkeypatch.setattr(qcorr.lapack, "_DSTEBZ", short_dstebz)
     with pytest.raises(np.linalg.LinAlgError, match=r"^dstebz found 2 of 3 eigenvalues$"):
         tridiagonal_form(a.copy()).top_eigenpairs(3)

@@ -308,3 +308,11 @@ def test_tradeoff_rejects_an_internal_drop_other_than_the_external_gain():
     d2 = Decomposition(0.2, 0.2, 0.1, 0.6)
     with pytest.raises(PreconditionError, match="^trade-off identity violated: internal drop "):
         tradeoff_delta(d1, d2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+def test_a_nan_or_negative_product_tolerance_is_named(tol):
+    part = Partition((0,), (1,))
+    for state in (bell_product(1), to_density(bell_product(1))):
+        with pytest.raises(ValueError, match=f"^tol must be >= 0, got {tol}$"):
+            is_product_across(state, part, tol=tol)

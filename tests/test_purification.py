@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import qcorr.linalg
+import qcorr.lapack
 import qcorr.purification
+import qcorr.states
 from qcorr import (
     DensityOperator,
     Partition,
@@ -53,7 +54,7 @@ ROUTES = ("eigh", "subset")
 #: The LAPACK routines of `linalg.tridiagonal_form`, as numpy's OpenBLAS
 #: exports them; without any one, `purify` takes `eigvalsh` and `eigh`.
 TRIDIAGONAL_ROUTINES = ("_ZHETRD", "_DSTERF", "_DSTEBZ", "_ZSTEIN", "_ZUNMTR")
-LAPACK_MISSING = [name for name in TRIDIAGONAL_ROUTINES if getattr(qcorr.linalg, name) is None]
+LAPACK_MISSING = [name for name in TRIDIAGONAL_ROUTINES if getattr(qcorr.lapack, name) is None]
 
 
 def ghz_reduction():
@@ -205,7 +206,8 @@ def _solved_as_given(monkeypatch, route, values, vectors):
     "eigh" takes I/r, of rank r = dim, and patches `np.linalg.eigh`;
     "subset" takes diag(1/r, ..., 0, ...) of dimension 2r, puts a reduction
     that gives its spectrum and those pairs in place of
-    `linalg.tridiagonal_form`, and pads each vector with r zero rows. The
+    `lapack.tridiagonal_form`, both where the operator reduces itself and
+    where `top_eigenpairs` does, and pads each vector with r zero rows. The
     other solver raises, so the input must reach the patched one."""
     r = len(values)
 
@@ -214,7 +216,7 @@ def _solved_as_given(monkeypatch, route, values, vectors):
 
     if route == "eigh":
         monkeypatch.setattr(np.linalg, "eigh", lambda m: (values, vectors))
-        monkeypatch.setattr(qcorr.linalg.TridiagonalForm, "top_eigenpairs", other_solver)
+        monkeypatch.setattr(qcorr.lapack.TridiagonalForm, "top_eigenpairs", other_solver)
         rho = validate_density(np.eye(r) / r, r.bit_length() - 1)
     else:
         padded = np.vstack([vectors, np.zeros_like(vectors)])
@@ -222,7 +224,8 @@ def _solved_as_given(monkeypatch, route, values, vectors):
         given = SimpleNamespace(  # present on any BLAS
             eigenvalues=lambda: np.sort(diag), top_eigenpairs=lambda k: (values, padded)
         )
-        monkeypatch.setattr(qcorr.purification, "tridiagonal_form", lambda a: given)
+        for owner in (qcorr.states, qcorr.purification):  # each reduction's reader
+            monkeypatch.setattr(owner, "tridiagonal_form", lambda a: given)
         monkeypatch.setattr(np.linalg, "eigh", other_solver)
         rho = validate_density(np.diag(diag).astype(complex), r.bit_length())
     return purify(rho).purified.amplitudes, reference_purification_table(rho.matrix)
@@ -342,9 +345,10 @@ def test_the_subset_solve_and_eigh_purify_alike(make, monkeypatch):
     results, values = [], []
     for hide in (False, True):  # the subset route where 2r <= dim, then eigh
         if hide:
-            monkeypatch.setattr(qcorr.linalg, "_ZHETRD", None)
+            monkeypatch.setattr(qcorr.lapack, "_ZHETRD", None)
+        # a fresh operator each time, as a low-rank one keeps its pairs
         values.append(top_eigenpairs(DensityOperator(n, rho.matrix))[0])
-        results.append(purify(rho))
+        results.append(purify(DensityOperator(n, rho.matrix)))
     # each route returns its pairs in its own order
     assert np.max(np.abs(np.sort(values[0]) - np.sort(values[1]))) <= 1e-14
     subset, full = results
@@ -362,17 +366,20 @@ def test_the_subset_solve_and_eigh_purify_alike(make, monkeypatch):
 @pytest.mark.parametrize("hide", [False, True], ids=["symbol", "no-symbol"])
 def test_the_subset_solve_runs_exactly_when_2r_fits_the_dimension(hide, monkeypatch):
     if hide:
-        monkeypatch.setattr(qcorr.linalg, "_ZHETRD", None)
+        monkeypatch.setattr(qcorr.lapack, "_ZHETRD", None)
     elif LAPACK_MISSING:
         pytest.skip(f"numpy's LAPACK lacks {LAPACK_MISSING}")
     calls = []
-    spy(monkeypatch, qcorr.linalg.TridiagonalForm, "top_eigenpairs", lambda *_: "subset", calls)
+    spy(monkeypatch, qcorr.lapack.TridiagonalForm, "top_eigenpairs", lambda *_: "subset", calls)
     spy(monkeypatch, np.linalg, "eigh", lambda *_: "eigh", calls)
     cases = [*ROUTE_CASES.values(), lambda: validate_density(random_of_rank(116, 10, 32), 10)]
     for make in cases:
+        # from the operator's making on: a low-rank operator's pairs are
+        # solved by the reduction that gives its spectrum, any other's by
+        # purify
+        calls.clear()
         rho = make()
         r = spectral_rank(rho)
-        calls.clear()
         assert purify(rho).residual <= 1e-12
         subset = 2 * r <= rho.dim and not hide
         assert calls == (["subset"] if subset else ["eigh"]), (rho.n_qubits, r)
@@ -382,8 +389,8 @@ def _count_solves(monkeypatch) -> dict[str, list[bool]]:
     """By name, whether each zhetrd, dsterf, `np.linalg.eigvalsh` and
     `np.linalg.eigh` call from here on is a solve: all are but zhetrd's
     workspace query, whose ninth argument, LWORK, is -1."""
-    calls = {"zhetrd": spy(monkeypatch, qcorr.linalg, "_ZHETRD", lambda *a: a[8]._obj.value != -1)}
-    for owner, name in [(qcorr.linalg, "_DSTERF"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
+    calls = {"zhetrd": spy(monkeypatch, qcorr.lapack, "_ZHETRD", lambda *a: a[8]._obj.value != -1)}
+    for owner, name in [(qcorr.lapack, "_DSTERF"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
         calls[name.strip("_").lower()] = spy(monkeypatch, owner, name, lambda *a: True)
     return calls
 
@@ -407,11 +414,13 @@ def test_an_uncached_purify_reduces_its_operator_once(monkeypatch):
     assert spectrum.tobytes() == hermitian_spectrum(rho.matrix).tobytes()
     assert min_purifying_qubits(rho) == result.ancilla_qubits == 5
 
-    rho = validate_density(m, 10)  # its spectrum's eigvalsh is cached
+    # validate_density's reduction gives the spectrum and keeps the 32
+    # pairs, so purify adds only the residual's eigvalsh
     for seen in calls.values():
         seen.clear()
+    rho = validate_density(m, 10)
     assert purify(rho).purified.amplitudes.tobytes() == result.purified.amplitudes.tobytes()
-    assert _counts(calls) == {"zhetrd": 1, "dsterf": 0, "eigvalsh": 1, "eigh": 0}
+    assert _counts(calls) == {"zhetrd": 1, "dsterf": 1, "eigvalsh": 1, "eigh": 0}
 
 
 def test_a_rank_zero_operator_raises(monkeypatch):

@@ -260,6 +260,12 @@ def test_parse_subset():
         parse_subset("aa", 4)
 
 
+@pytest.mark.parametrize("text", [None, 3, ("a",)])
+def test_parse_subset_names_text_that_is_not_a_str(text):
+    with pytest.raises(TypeError, match=f"^subset text must be a str, got {re.escape(repr(text))}$"):
+        parse_subset(text, 3)
+
+
 def test_analyze_ghz4_natural_cut():
     report = analyze(parse_state_spec("ghz:4"), parse_partition_list("ab|cd", 4))
     assert report.n_qubits == 4

@@ -237,3 +237,29 @@ def test_malformed_construction_raises_value_error_naming_the_fault(make, messag
         make()
     assert type(raised.value) is ValueError
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # checked before any 2**n_qubits is built or printed
+        (lambda: PureState(10**6, [1.0, 0.0]), "n_qubits must be <= 62, got 1000000"),
+        (lambda: DensityOperator(10**6, [[1.0]]), "n_qubits must be <= 62, got 1000000"),
+        (lambda: PureState(1.0, [1.0, 0.0]), "n_qubits must be an integer, got 1.0"),
+        (lambda: DensityOperator(1.0, np.eye(2) / 2), "n_qubits must be an integer, got 1.0"),
+        (lambda: PureState(True, [1.0, 0.0]), "n_qubits must be an integer, got True"),
+        (lambda: DensityOperator(True, np.eye(2) / 2), "n_qubits must be an integer, got True"),
+        (lambda: PureState("1", [1.0, 0.0]), "n_qubits must be an integer, got 1"),
+    ],
+)
+def test_a_qubit_count_that_is_no_integer_or_too_large_is_named(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
+
+
+def test_an_integer_like_qubit_count_is_stored_as_an_int():
+    state = PureState(np.int64(1), [1.0, 0.0])
+    rho = DensityOperator(np.int64(1), np.eye(2) / 2)
+    assert type(state.n_qubits) is int and type(rho.n_qubits) is int
