@@ -28,6 +28,7 @@ from .states import (
     PureState,
     _amplitude_matrices,
     _check_subset,
+    _purification_table,
     _qubit_count,
     hermitian_spectrum,
 )
@@ -194,126 +195,95 @@ def _level_probs(amps: np.ndarray, n: int, sides: list[tuple[int, ...]]) -> np.n
     return np.concatenate(out)
 
 
-def _level_spectra(
-    amps: np.ndarray, n: int, sides: list[int]
-) -> list[tuple[list[int], np.ndarray]]:
-    """The Schmidt probabilities of the n-qubit amplitudes `amps` cut at each
-    of the nonempty side masks `sides` (bit q for qubit q), one size of side
-    at a time, largest first (`_level_probs`): per size, (its masks, one row
-    of descending probabilities per mask). Up to `MAX_STACK_AMPLITUDES`
-    amplitudes they run on one BLAS thread (`_one_blas_thread`), as
-    OpenBLAS's workers only spin beside such small solves.
-    """
-    levels: dict[int, list[int]] = {}
-    for side in sides:
-        levels.setdefault(side.bit_count(), []).append(side)
-    out = []
-    with _one_blas_thread() if levels and amps.size <= MAX_STACK_AMPLITUDES else nullcontext():
-        for _, level in sorted(levels.items(), reverse=True):
-            qubits = [tuple(q for q in range(n) if side >> q & 1) for side in level]
-            out.append((level, _level_probs(amps, n, qubits)))
-    return out
-
-
-def _purified_spectra(
-    factor: tuple[np.ndarray, np.ndarray], n: int, keys: list[int]
-) -> list[tuple[int, np.ndarray]]:
-    """(key, spectrum) of an n-qubit operator's reduction onto each nonempty
-    proper subset mask in `keys`, from its `factor`, its r largest
-    eigenpairs (l_i, e_i).
-
-    The spectral purification psi = sum_i sqrt(l_i) |e_i>|i>, with
-    a = ceil(log2 r) ancilla qubits after the system's, reduces to the
-    operator on the system, so its reduction onto A does too, and rho_A's
-    eigenvalues are the Schmidt probabilities of psi's cut
-    A | (rest, ancilla). Each cut is solved from its smaller side
-    (`_level_spectra`), so its Gram matrix has dimension at most
-    2^floor((n + a)/2). psi keeps the factor's norm, the trace of rho less
-    what it dropped, unrenormalised. Each spectrum comes ascending,
-    zero-padded to 2^|A|, as the dense route gives it.
-    """
-    values, vectors = factor
-    r = len(values)
-    ancillas = (r - 1).bit_length()
-    table = np.zeros((len(vectors), 1 << ancillas), dtype=np.complex128)
-    table[:, :r] = vectors * np.sqrt(values)
-    total = n + ancillas
-    mirror = (1 << total) - 1
-    side_of = {key: key if 2 * key.bit_count() <= total else key ^ mirror for key in keys}
-    sides = list(dict.fromkeys(side_of.values()))  # at rank 1, A and its complement share one
-    probs = {}
-    for level, rows in _level_spectra(table.reshape(-1), total, sides):
-        probs.update(zip(level, rows))
-    out = []
-    for key, side in side_of.items():
-        ascending = np.zeros(1 << key.bit_count())
-        ascending[len(ascending) - len(probs[side]) :] = probs[side][::-1]
-        out.append((key, ascending))
-    return out
+def _descending(ascending: np.ndarray) -> tuple[np.ndarray, float]:
+    """A memo entry from ascending eigenvalues: a read-only reversed view,
+    and the entropy summed in the ascending order they came in."""
+    values = ascending[::-1]
+    values.setflags(write=False)
+    return values, float(_entropies(ascending))
 
 
 def _cut_spectra(
     state: PureState | DensityOperator, subsets: Iterable[Sequence[int]]
 ) -> list[tuple[np.ndarray, float]]:
-    """(read-only spectrum, entropy) of the state's reduction onto each subset.
+    """(read-only spectrum, descending; entropy) of the state's reduction onto
+    each subset.
 
     Callers hand it checked subsets of distinct qubits in range. The state
     memoises each reduction once in `_cuts` under a bit mask (bit q for qubit
-    q). Both sides of a pure state's cut share their Schmidt probabilities
-    (descending), so its key is the mask of the smaller side; at the half
-    cut, of the side holding qubit 0; for the whole register, 0, with the
-    one probability |psi|^2. The missing cuts are solved by Gram spectra
-    with an SVD redo (`_level_spectra`), so no memo entry holds a Gram tail
-    below `GRAM_TAIL_FLOOR`. A pure state with no nonzero imaginary part is
-    solved in float64, every other one in complex128.
+    q). There are two routes.
 
-    An operator's key is the subset's own mask, and its entry holds the
-    reduction's eigenvalues ascending. The whole register reads the cached
-    `spectrum`, and is read first: the operator's one reduction, which
-    gives the spectrum, also gives a low-rank operator its factor. With a
-    factor, every other nonempty subset is solved as a cut of the factor's
-    purification (`_purified_spectra`). Without one, a subset is traced in
-    ascending order (`partial_trace`) and solved by `eigvalsh` at dimension
-    2^|A|, on OpenBLAS's own threads.
+    Purification cuts: a pure state is its own table of amplitudes, on n
+    qubits with no ancilla; a low-rank operator (`states._low_rank`) has its
+    factor's spectral purification sum_i sqrt(l_i) |e_i>|i>
+    (`states._purification_table`), on n + ceil(log2 r) qubits, whose
+    reduction onto a system subset A is rho_A. Both sides of a cut of the
+    table share their Schmidt probabilities, so its key is the mask, on the
+    table's register, of the smaller side; at the half cut, of the side
+    holding qubit 0; for the empty side, 0, with the one probability
+    |table|^2. The missing cuts are solved one size of side at a time,
+    largest first, by Gram spectra with an SVD redo (`_level_probs`), so no
+    memo entry holds a Gram tail below `GRAM_TAIL_FLOOR`; up to
+    `MAX_STACK_AMPLITUDES` amplitudes on one BLAS thread
+    (`_one_blas_thread`), as OpenBLAS's workers only spin beside such small
+    solves. A table with no nonzero imaginary part is solved in float64,
+    every other one in complex128. An operator's table keeps its trace as
+    its norm, unrenormalised.
+
+    Traced cuts: an operator's whole register is read first, under its own
+    mask, from the cached `spectrum`: the operator's one reduction, which
+    gives it, also gives a low-rank operator its factor. Every subset of an
+    operator without a factor, or of one whose spectrum has not been read,
+    is traced in ascending order (`partial_trace`) and solved by `eigvalsh`
+    at dimension 2^|A|, on OpenBLAS's own threads, under its own mask.
     """
     n, memo = state.n_qubits, state._cuts
-    pure = isinstance(state, PureState)
     full = (1 << n) - 1
-    keys = []
+    masks = []
     for subset in subsets:
         mask = 0
         for q in subset:
             mask |= 1 << q
-        if pure and (2 * len(subset) > n or (2 * len(subset) == n and not mask & 1)):
-            mask ^= full
-        keys.append(mask)
-    missing = [key for key in dict.fromkeys(keys) if key not in memo]
-    if pure:
-        amps = state.amplitudes
-        sides = [key for key in missing if key]
-        if sides and not amps.imag.any():
-            amps = amps.real.copy()  # a real state is solved in float64
-        solved = _level_spectra(amps, n, sides)
-        if 0 in missing:
-            norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
-            solved.append(([0], np.array([[norm2]])))
-        for level, probs in solved:
-            probs.setflags(write=False)
-            memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
+        masks.append(mask)
+    if isinstance(state, PureState):
+        table, whole = state.amplitudes, None
     else:
-        found = []
-        if full in missing:
-            found.append((full, state.spectrum))
-            missing.remove(full)
-        if state._factor is not None:
-            found += _purified_spectra(state._factor, n, [key for key in missing if key])
-            missing = [key for key in missing if not key]
+        if full in masks and full not in memo:
+            memo[full] = _descending(state.spectrum)
+        factor, whole = state._factor, full
+        table = None if factor is None else _purification_table(*factor).reshape(-1)
+    keys = masks
+    if table is not None:
+        size = table.size.bit_length() - 1  # qubits of the table's register
+        mirror = (1 << size) - 1
+        keys = [  # an operator's whole register keeps its mask: its entry is `spectrum`
+            mask ^ mirror
+            if mask != whole
+            and (2 * mask.bit_count() > size or (2 * mask.bit_count() == size and not mask & 1))
+            else mask
+            for mask in masks
+        ]
+    missing = [key for key in dict.fromkeys(keys) if key not in memo]
+    if table is None:
         for key in missing:
             kept = [q for q in range(n) if key >> q & 1]
-            found.append((key, hermitian_spectrum(partial_trace(state.matrix, n, kept))))
-        for key, values in found:
-            values.setflags(write=False)
-            memo[key] = (values, float(_entropies(values)))
+            memo[key] = _descending(hermitian_spectrum(partial_trace(state.matrix, n, kept)))
+        return [memo[key] for key in keys]
+    levels: dict[int, list[int]] = {}
+    for side in missing:
+        if side:
+            levels.setdefault(side.bit_count(), []).append(side)
+    amps = table
+    if levels and not amps.imag.any():
+        amps = amps.real.copy()  # a real table is solved in float64
+    with _one_blas_thread() if levels and amps.size <= MAX_STACK_AMPLITUDES else nullcontext():
+        for _, level in sorted(levels.items(), reverse=True):
+            sides = [tuple(q for q in range(size) if side >> q & 1) for side in level]
+            probs = _level_probs(amps, size, sides)
+            probs.setflags(write=False)
+            memo.update(zip(level, zip(probs, _entropies(probs).tolist())))
+    if 0 in missing:
+        memo[0] = _descending(np.array([float(np.vdot(table, table).real)]))
     return [memo[key] for key in keys]
 
 
@@ -323,13 +293,13 @@ def von_neumann_entropy(
     """S of the state's reduction onto `subset` (the whole register if None).
 
     -Tr(rho ln rho) in nats, with 0 ln 0 = 0 and the result clamped to >= 0,
-    from the memoised engine (`_cut_spectra`). A pure state is reduced
-    through its Schmidt probabilities and never densified, an operator
-    through its factor's purification once its spectrum is read and shows
-    it low-rank, and by partial trace otherwise. Raises IndexError unless
-    `subset` holds distinct qubits
-    in range. Up to 16 qubits, and in a half cut's thread pool, a pure state is
-    solved on one OpenBLAS thread, which numpy's OpenBLAS sets for every thread.
+    from the memoised engine (`_cut_spectra`). A pure state, and a low-rank
+    operator once its spectrum is read, are reduced as cuts of one table of
+    amplitudes, the state's own or its factor's purification, and never
+    densified; any other operator by partial trace. Raises IndexError
+    unless `subset` holds distinct qubits in range. A table of up to 2^16
+    amplitudes, and a half cut in its thread pool, is solved on one
+    OpenBLAS thread, which numpy's OpenBLAS sets for every thread.
     """
     n = state.n_qubits
     return _cut_spectra(state, [range(n) if subset is None else _check_subset(subset, n)])[0][1]
@@ -427,9 +397,23 @@ def _check_finite(what: str, values: Iterable[float]) -> None:
             raise ValueError(f"{what} must be finite, got {v}")
 
 
+def _numbers(what: str, values: Iterable[float]) -> list[float]:
+    """`values` as floats; an entry that does not compare with 0.0, such as
+    text, bytes or None, raises TypeError naming `what` and the entry."""
+    out = []
+    for v in values:
+        try:
+            v < 0.0
+        except TypeError:
+            raise TypeError(f"{what} must be numbers, got {v!r}") from None
+        out.append(float(v))
+    return out
+
+
 def correlation_bounds(subsystem_entropies: Sequence[float]) -> BoundsReport:
-    """Bounds on correlation strength from a list of subsystem entropies."""
-    values = [float(v) for v in subsystem_entropies]
+    """Bounds on correlation strength from a list of subsystem entropies.
+    An entry that is not a number raises TypeError naming it."""
+    values = _numbers("subsystem entropies", subsystem_entropies)
     if not values:
         raise ValueError("need at least one subsystem entropy")
     for v in values:
@@ -459,9 +443,10 @@ def classify_region(value: float, max_entropies: Sequence[float]) -> Region:
     Classical for value <= inf(caps), Quantum up to 2*inf(caps),
     Unattainable beyond, each boundary widened by `REGION_TOL`; the lower
     region is closed, so a value exactly at inf classifies as Classical.
-    A value that does not compare with a number raises TypeError naming it.
+    A value, or an entry of `max_entropies`, that does not compare with a
+    number raises TypeError naming it.
     """
-    caps = [float(v) for v in max_entropies]
+    caps = _numbers("maximum entropies", max_entropies)
     if not caps:
         raise ValueError("need at least one maximum entropy")
     if any(v <= 0.0 for v in caps):

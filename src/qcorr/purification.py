@@ -14,7 +14,8 @@ import numpy as np
 
 from .correlation import LN2, total_correlation
 from .lapack import tridiagonal_form
-from .states import RANK_THRESHOLD, DensityOperator, PureState, _symmetrize, hermitian_spectrum
+from .states import RANK_THRESHOLD, DensityOperator, PureState, hermitian_spectrum, spectral_rank
+from .states import _purification_table, _symmetrize
 
 #: An eigenvector's leading component, whose phase `purify` fixes real
 #: positive, is its first above this fraction of its largest magnitude.
@@ -38,11 +39,6 @@ class PurificationResult:
     ancilla_qubits: int
     purified: PureState
     residual: float
-
-
-def spectral_rank(rho: DensityOperator) -> int:
-    """Number of eigenvalues above `RANK_THRESHOLD`."""
-    return int(np.count_nonzero(rho.spectrum > RANK_THRESHOLD))
 
 
 def min_purifying_qubits(rho: DensityOperator) -> int:
@@ -128,10 +124,8 @@ def purify(rho: DensityOperator) -> PurificationResult:
         order[start:stop] = run[np.lexsort(entries.reshape(-1, len(run))[::-1])]
     values, vectors = values[order], vectors[:, order]
 
-    rank = len(values)
-    k = (rank - 1).bit_length()  # ceil(log2 rank)
-    table = np.zeros((1 << n, 1 << k), dtype=np.complex128)
-    table[:, :rank] = vectors * np.sqrt(values)
+    k = (len(values) - 1).bit_length()  # ceil(log2 rank)
+    table = _purification_table(values, vectors)
     # Summed left to right: np.sum's pairwise order would move the last bits.
     table /= math.sqrt(sum(values.tolist()))
     purified = PureState(n + k, table.reshape(-1))

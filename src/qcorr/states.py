@@ -100,11 +100,13 @@ class DensityOperator:
     purification sum_i sqrt(l_i) |e_i>|i> whose cuts give every reduction's
     spectrum (`correlation._cut_spectra`) and whose pairs `purify` orders.
     The form itself is then freed. `correlation._cut_spectra` memoises each
-    subset's reduced spectrum and entropy in `_cuts`, keyed by the bit mask
-    of the subset. The caches read the matrix once, so `matrix` is set
-    read-only. A C-contiguous complex128 array is kept without a copy, so
-    the caller's array becomes read-only too: a write to it raises instead
-    of leaving the caches stale. An `n_qubits` that is not an integer >= 1,
+    subset's reduced spectrum, descending, and entropy in `_cuts`, keyed by
+    a bit mask: for a cut of the factor's purification, that of the smaller
+    side on its register, as for a pure state; otherwise the subset's. The
+    caches read the matrix once, so `matrix` is set read-only. A
+    C-contiguous complex128 array is kept without a copy, so the caller's
+    array becomes read-only too: a write to it raises instead of leaving
+    the caches stale. An `n_qubits` that is not an integer >= 1,
     a bool included, raises ValueError naming it.
     """
 
@@ -164,13 +166,28 @@ class DensityOperator:
         values = np.linalg.eigvalsh(sym) if form is None else form.eigenvalues()
         values.setflags(write=False)
         vars(self)["spectrum"] = values
-        rank = int(np.count_nonzero(values > RANK_THRESHOLD))
+        rank = spectral_rank(self)
         if form is not None and _low_rank(values, rank, self.n_qubits):
             pairs = form.top_eigenpairs(rank)
             for array in pairs:
                 array.setflags(write=False)
             object.__setattr__(self, "_factor", pairs)
         return form
+
+
+def spectral_rank(rho: DensityOperator) -> int:
+    """Number of eigenvalues above `RANK_THRESHOLD`."""
+    return int(np.count_nonzero(rho.spectrum > RANK_THRESHOLD))
+
+
+def _purification_table(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The spectral purification sum_i sqrt(l_i) |e_i>|i> of r eigenpairs
+    (l_i, e_i), `vectors` as columns, unnormalised, as its 2^n x 2^a table of
+    amplitudes (system index by ancilla index), a = ceil(log2 r)."""
+    rank = len(values)
+    table = np.zeros((len(vectors), 1 << (rank - 1).bit_length()), dtype=np.complex128)
+    table[:, :rank] = vectors * np.sqrt(values)
+    return table
 
 
 def _low_rank(values: np.ndarray, rank: int, n_qubits: int) -> bool:

@@ -1,6 +1,7 @@
 """Entropy, total correlation, bounds, and region classification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,3 +281,32 @@ def test_empty_or_nonpositive_arguments_are_named(call, message):
 def test_a_correlation_value_that_is_no_number_is_named():
     with pytest.raises(TypeError, match="^correlation value must be a number, got '0.1'$"):
         classify_region("0.1", [LN2])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify_region(0.1, ["0.69"]), "maximum entropies must be numbers, got '0.69'"),
+        (lambda: classify_region(0.1, [LN2, "abc"]), "maximum entropies must be numbers, got 'abc'"),
+        (lambda: classify_region(0.1, [None]), "maximum entropies must be numbers, got None"),
+        (lambda: correlation_bounds(["0.5", "0.3"]), "subsystem entropies must be numbers, got '0.5'"),
+        (lambda: correlation_bounds([b"0.5"]), "subsystem entropies must be numbers, got b'0.5'"),
+        (lambda: correlation_bounds([0.5, 1j]), "subsystem entropies must be numbers, got 1j"),
+    ],
+    ids=["text-cap", "word-cap", "none-cap", "text-entropies", "bytes-entropy", "complex-entropy"],
+)
+def test_a_list_entry_that_is_no_number_is_named(call, message):
+    # Each entry must compare with 0.0 as the value does; float() would read
+    # numbers from text and bytes and give None a bare TypeError.
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_probability_exactly_at_the_entropy_floor_adds_nothing():
+    # "at or below this floor contribute nothing": the floor itself is dropped,
+    # which leaves -(1 - 1e-15) ln(1 - 1e-15) = 9.99e-16, where counting it
+    # would add 1e-15 * 34.5
+    from qcorr.correlation import ENTROPY_EIG_FLOOR, _entropies
+
+    got = float(_entropies(np.array([1 - ENTROPY_EIG_FLOOR, ENTROPY_EIG_FLOOR])))
+    assert 0.99 * ENTROPY_EIG_FLOOR < got < 1.01 * ENTROPY_EIG_FLOOR

@@ -9,8 +9,9 @@ the cut's amplitudes arranged by explicit bit arithmetic, both sides of
 `GRAM_TAIL_FLOOR`, and the rows against the one-row calls. A half cut of
 more than one stack is solved on a thread per CPU; those tests check its
 memo against one serial pass, bit for bit, and which threads run it.
-A pure state with real amplitudes is solved in float64; those tests check it
-against the same oracle and flags, and which dtype reaches the solvers.
+A pure state with real amplitudes, and a low-rank operator whose factor's
+table is real, is solved in float64; those tests check it against the same
+oracle and flags, and which dtype reaches the solvers.
 A pure state's solves run with OpenBLAS set to one thread; those tests check
 that the engine sets 1 and restores the count, and that the memo is the same
 without the setter. A stack of one cut's matrix, from 16 qubits up, is freed
@@ -60,7 +61,15 @@ from qcorr.correlation import (
 )
 from qcorr.partitions import _product_flags
 from qcorr.states import _amplitude_matrices
-from helpers import probs_entropy, random_density, random_pure, spy, svd_schmidt_probs
+from helpers import (
+    brute_reduced,
+    entropy_oracle,
+    probs_entropy,
+    random_density,
+    random_pure,
+    spy,
+    svd_schmidt_probs,
+)
 
 ORACLE_TOL = 1e-12
 
@@ -220,9 +229,20 @@ def test_a_tiny_imaginary_part_keeps_the_complex_route(solved_dtypes):
 
 
 def test_a_real_operator_keeps_the_complex_route(solved_dtypes):
-    rho = to_density(ghz(4))
-    decompose(rho, Partition((0, 2), (1, 3)))
-    assert set(solved_dtypes) == {np.dtype(np.complex128)}
+    # A low-rank operator's cuts are solved from its factor's table by the
+    # pure-state rule: in float64 where the table has no nonzero imaginary
+    # part, as to_density(ghz(4))'s has, and in complex128 where it has one.
+    phased = ghz(4).amplitudes.copy()
+    phased[-1] *= 1j
+    subsets = [s for k in range(5) for s in itertools.combinations(range(4), k)]
+    for amps, dtype in [(ghz(4).amplitudes, np.float64), (phased, np.complex128)]:
+        rho = to_density(PureState(4, amps))
+        solved_dtypes.clear()
+        decompose(rho, Partition((0, 2), (1, 3)))
+        assert rho._factor is not None and set(solved_dtypes) == {np.dtype(dtype)}
+        for subset, (_, entropy) in zip(subsets, _cut_spectra(rho, subsets)):
+            want = entropy_oracle(brute_reduced(rho.matrix, 4, subset))
+            assert abs(entropy - want) <= ORACLE_TOL, subset
 
 
 def test_maximal_purification_flag_solves_two_by_two_grams_only(solved):

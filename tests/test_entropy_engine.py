@@ -1,12 +1,16 @@
 """The one entropy entry point, `von_neumann_entropy(state, subset)`.
 
-Pure states are reduced through their Schmidt probabilities and operators
-through the partial trace; these tests check that both routes agree with
-each other and with the brute-force oracle in `helpers`, that subsets are
-validated on both, and that an operator's memo diagonalises each reduction
-once and gives a subset's entropy the same in any qubit order.
+A pure state, and a low-rank operator through its factor's purification,
+are reduced as cuts of one table of amplitudes; other operators through the
+partial trace. These tests check that the routes agree with each other and
+with the brute-force oracle in `helpers`, that subsets are validated on
+both state types, that a rank-1 operator shares one solve between a cut's
+two sides as a pure state does, and that an operator's memo diagonalises
+each reduction once and gives a subset's entropy the same in any qubit
+order.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -14,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcorr.correlation
 import qcorr.lapack
 from qcorr import (
     DensityOperator,
     Partition,
+    PureState,
     araki_lieb_check,
     decompose,
     ghz,
@@ -29,7 +35,16 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from helpers import brute_reduced, entropy_oracle, pure_states, random_density, spy, subsets
+from qcorr.correlation import _cut_spectra
+from helpers import (
+    brute_reduced,
+    entropy_oracle,
+    pure_states,
+    random_density,
+    random_pure,
+    spy,
+    subsets,
+)
 
 TOL = 1e-10
 
@@ -136,3 +151,28 @@ def test_non_integer_qubits_are_rejected_not_truncated():
     for state in (s, to_density(s)):
         with pytest.raises(IndexError, match=re.escape("(0.5,)")):
             von_neumann_entropy(state, (0.5,))
+
+
+@pytest.mark.skipif(qcorr.lapack._ZHETRD is None, reason="numpy's LAPACK lacks zhetrd")
+def test_a_rank_one_operator_solves_a_cut_and_its_complement_once(monkeypatch):
+    # to_density(psi) is its own factor with no ancilla, so a cut and its
+    # complement share one key and one level solve, as on psi
+    rho = to_density(PureState(5, random_pure(np.random.default_rng(90), 5)))
+    rho.spectrum
+    assert rho._factor is not None
+    solves = spy(monkeypatch, qcorr.correlation, "_level_probs", lambda amps, n, sides: len(sides))
+    assert von_neumann_entropy(rho, (0, 3)) == von_neumann_entropy(rho, (1, 2, 4))
+    assert solves == [1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_pure_state_and_its_density_agree_at_every_cut(n):
+    psi = PureState(n, random_pure(np.random.default_rng(91 + n), n))
+    every = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+    pure, dense = _cut_spectra(psi, every), _cut_spectra(to_density(psi), every)
+    for subset, (p, s_pure), (v, s_dense) in zip(every, pure, dense):
+        assert abs(s_pure - s_dense) <= 1e-12, subset
+        # both descending; the longer entry's tail is zero
+        short, long = sorted([p, v], key=len)
+        assert np.max(np.abs(long[: len(short)] - short)) <= 1e-12, subset
+        assert np.max(np.abs(long[len(short) :]), initial=0.0) <= 1e-12, subset

@@ -1,13 +1,16 @@
-"""The factor route: a low-rank operator's cut entropies and purification
-from its one reduction.
+"""A low-rank operator's cut entropies and purification from its one
+reduction.
 
 An operator is reduced to tridiagonal form once, when its spectrum is first
 read. If its rank r is at most 2^floor(n/2) and every other eigenvalue lies
 within `ENTROPY_EIG_FLOOR` of 0, it keeps its r largest eigenpairs as its
-factor. Each reduction's spectrum is then read from a cut of their spectral
-purification, and `purify` reads the same pairs. These tests check:
-- that route against the dense oracle in `helpers`;
-- the rule on each side of `ENTROPY_EIG_FLOOR` and `RANK_THRESHOLD`;
+factor. Its spectral purification is then a table of amplitudes on
+n + ceil(log2 r) qubits, and each reduction's spectrum is a cut of that
+table, solved as a pure state's cuts are; `purify` reads the same pairs.
+These tests check:
+- those cuts, descending, against the dense oracle in `helpers`;
+- the rule on each side of `ENTROPY_EIG_FLOOR` and `RANK_THRESHOLD`, and at
+  each of them exactly;
 - that one LAPACK zhetrd serves a whole validate, decompose and purify
   sequence.
 """
@@ -27,6 +30,7 @@ from qcorr import (
     ghz,
     purify,
     reduced_operator,
+    spectral_rank,
     uniform_entangled,
     validate_density,
     von_neumann_entropy,
@@ -124,9 +128,12 @@ def test_every_cut_matches_the_dense_oracle(case, monkeypatch):
     for subset, (values, entropy) in zip(subsets, got):
         reduced = block_reduced(rho.matrix, n, sorted(subset))
         want = np.linalg.eigvalsh((reduced + reduced.conj().T) / 2)
-        # ascending, zero-padded to the subset's dimension, as densely
-        assert len(values) == len(want) and np.all(np.diff(values) >= 0), subset
-        assert np.max(np.abs(values - want)) <= TOL, subset
+        # descending; a cut of the factor's table holds 2^min(|A|, n + a - |A|)
+        # values, the rest of the dense spectrum being 0
+        assert len(values) <= len(want) and np.all(np.diff(values) <= 0), subset
+        padded = np.zeros(len(want))
+        padded[: len(values)] = values
+        assert np.max(np.abs(padded[::-1] - want)) <= TOL, subset
         assert abs(entropy - entropy_oracle(reduced)) <= TOL, subset
 
 
@@ -215,3 +222,29 @@ def test_a_trace_off_one_within_tolerance_keeps_its_factor_unrenormalised(offset
     decompose_rows(rho, enumerate_bipartitions(n))
     # purify renormalises, so its residual is the trace's offset, halved
     assert purify(rho).residual <= abs(offset)
+
+
+def test_an_eigenvalue_exactly_at_the_rank_threshold_is_not_counted():
+    # "at or below this threshold" is noise: the rank counts 1, not 2
+    rho = DensityOperator(1, np.diag([1 - RANK_THRESHOLD, RANK_THRESHOLD]))
+    assert rho.spectrum.tolist() == [RANK_THRESHOLD, 1 - RANK_THRESHOLD]
+    assert spectral_rank(rho) == 1
+
+
+@needs_lapack
+def test_an_eigenvalue_exactly_at_the_rank_threshold_keeps_no_factor():
+    # Not counted in the rank (3), and beyond the floor, so the three pairs
+    # would drop it: no factor. Counted (rank 4 <= 2^2), it would leave zeros.
+    values = np.zeros(16)
+    values[:4] = [0.5, 0.3, 0.2 - RANK_THRESHOLD, RANK_THRESHOLD]
+    rho = DensityOperator(4, np.diag(values))
+    assert RANK_THRESHOLD in rho.spectrum and spectral_rank(rho) == 3
+    assert rho._factor is None
+
+
+@needs_lapack
+def test_an_eigenvalue_exactly_at_the_entropy_floor_keeps_the_factor():
+    # "at or below this floor contribute nothing": the rank-2 factor may drop it
+    rho = DensityOperator(2, np.diag([0.5, 0.5 - ENTROPY_EIG_FLOOR, ENTROPY_EIG_FLOOR, 0]))
+    assert ENTROPY_EIG_FLOOR in rho.spectrum
+    assert rho._factor is not None and len(rho._factor[0]) == 2

@@ -316,3 +316,18 @@ def test_a_nan_or_negative_product_tolerance_is_named(tol):
     for state in (bell_product(1), to_density(bell_product(1))):
         with pytest.raises(ValueError, match=f"^tol must be >= 0, got {tol}$"):
             is_product_across(state, part, tol=tol)
+
+
+def test_a_product_tolerance_exactly_at_the_distance_holds():
+    # "within distance tol" is closed: a pure state's distance sqrt(2 tail),
+    # from the same probabilities the check reads, passes as its own tol
+    from qcorr.correlation import _cut_spectra
+
+    theta = 1e-5
+    state = PureState(2, [math.cos(theta), 0, 0, math.sin(theta)])
+    part = Partition((0,), (1,))
+    probs = _cut_spectra(state, [part.alpha])[0][0]
+    p = probs / probs.sum()
+    distance = float(np.sqrt(2.0 * p[1:].sum()))
+    assert is_product_across(state, part, tol=distance)
+    assert not is_product_across(state, part, tol=float(np.nextafter(distance, 0.0)))

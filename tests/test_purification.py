@@ -432,7 +432,7 @@ def test_a_rank_zero_operator_raises(monkeypatch):
     vars(rho)["spectrum"] = zeros
     with pytest.raises(ValueError, match="cannot solve for 0 eigenpairs"):
         purify(rho)
-    monkeypatch.setattr(qcorr.purification, "RANK_THRESHOLD", 1.0)
+    monkeypatch.setattr(qcorr.states, "RANK_THRESHOLD", 1.0)
     with pytest.raises(ValueError, match="cannot solve for 0 eigenpairs"):
         purify(DensityOperator(2, np.eye(4) / 4))
 
